@@ -11,10 +11,10 @@ library itself — what a service embedding CRP would care about:
 * tracker windowed-map construction.
 
 The ranking and clustering benches come in pairs: the default
-vectorized engine path next to the ``vectorized=False`` scalar
-reference, so the engine's speedup is measured in-suite (the ratio the
-acceptance criteria quote; ``scripts/bench_micro.py`` records it to
-``BENCH_similarity.json``).
+vectorized engine path next to the scalar reference (``rank_scalar``,
+``smf_cluster(vectorized=False)``), so the engine's speedup is measured
+in-suite (the ratio the acceptance criteria quote;
+``scripts/bench_micro.py`` records it to ``BENCH_similarity.json``).
 """
 
 import numpy as np
@@ -23,6 +23,7 @@ import pytest
 from repro.cdn import MappingParams, MappingSystem
 from repro.cdn.replica import deploy_replicas
 from repro.core import RatioMap, SmfParams, cosine_similarity, rank_candidates, smf_cluster
+from repro.core.selection import rank_scalar
 from repro.core.tracker import RedirectionTracker
 from repro.netsim import ASRegistry, HostKind, Network, SimClock, Topology, default_world
 from repro.netsim.rng import derive_rng
@@ -56,9 +57,7 @@ def test_bench_micro_rank_240_candidates(benchmark, maps):
 def test_bench_micro_rank_240_candidates_scalar(benchmark, maps):
     client = maps[0]
     candidates = {f"cand-{i}": m for i, m in enumerate(maps[1:241])}
-    result = benchmark(
-        lambda: rank_candidates(client, candidates, vectorized=False)
-    )
+    result = benchmark(rank_scalar, client, candidates)
     assert len(result) == 240
 
 

@@ -2,8 +2,8 @@
 """Record similarity-engine micro-benchmarks to ``BENCH_similarity.json``.
 
 Runs the ranking and SMF-clustering hot paths through both the
-vectorized engine (the default) and the scalar reference
-(``vectorized=False``), times each with ``time.perf_counter`` loops,
+vectorized engine and the scalar reference (``rank_scalar``,
+``smf_cluster(vectorized=False)``), times each with ``time.perf_counter`` loops,
 and writes one JSON artifact at the repo root::
 
     {"results": [{"op": ..., "ns_per_op": ..., "scalar_ns_per_op": ...,
@@ -41,6 +41,7 @@ from repro.core import (  # noqa: E402
     smf_cluster,
 )
 from repro.core.engine import clear_pack_cache, packed_for  # noqa: E402
+from repro.core.selection import rank_scalar  # noqa: E402
 from repro.core.similarity import SimilarityMetric, similarity  # noqa: E402
 
 OUTPUT = REPO_ROOT / "BENCH_similarity.json"
@@ -114,13 +115,13 @@ def main() -> int:
         results,
         "rank_240_candidates",
         lambda: rank_candidates(client, candidates),
-        lambda: rank_candidates(client, candidates, vectorized=False),
+        lambda: rank_scalar(client, candidates),
     )
     _record(
         results,
         "select_top5_240_candidates",
         lambda: select_top_k(client, candidates, 5),
-        lambda: select_top_k(client, candidates, 5, vectorized=False),
+        lambda: rank_scalar(client, candidates)[:5],
     )
     _record(
         results,

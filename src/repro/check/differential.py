@@ -17,8 +17,9 @@ order, so name fields use zero tolerance and score fields a tiny one.
 
 The standard pair builders cover the equivalences the repo promises:
 
-* :func:`scalar_vector_pair` — rankings, Top-K selections and SMF
-  clusterings over one probed scenario, vectorized vs scalar;
+* :func:`scalar_vector_pair` — rankings, Top-K selections (through
+  all three ranking entry points) and SMF clusterings over one probed
+  scenario, vectorized vs scalar;
 * :func:`obs_pair` — an experiment producer's reports with
   observability enabled vs fully disabled;
 * :func:`chaos_stanza_pair` — a scenario carrying a zero-rate chaos
@@ -35,10 +36,7 @@ The standard pair builders cover the equivalences the repo promises:
   and shortlist⊇exact-Top-K coverage);
 * :func:`ann_exact_mode_pair` — ``rank_packed``'s k/exclude fast path
   against the legacy rank-everything-then-slice composition, byte for
-  byte (the exact-mode identity promise);
-* :func:`fig8_packed_scalar_pair` — figure 8's packed ``k=1``
-  checkpoint evaluation against the scalar ranking reference over one
-  probing schedule, sweep point for sweep point.
+  byte (the exact-mode identity promise).
 """
 
 from __future__ import annotations
@@ -49,7 +47,8 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro import obs as obs_layer
 from repro.core.clustering import SmfParams, smf_cluster
-from repro.core.selection import rank_candidates, select_top_k
+from repro.core.engine import packed_for
+from repro.core.selection import rank_candidates, rank_packed, rank_scalar, select_top_k
 from repro.core.service import ProbePolicy
 from repro.core.similarity import SimilarityMetric
 from repro.faults import ChaosParams
@@ -171,29 +170,34 @@ def report_fields(reports: Mapping[str, str]) -> Dict[str, object]:
 
 def _positioning_fields(scenario: Scenario, *, vectorized: bool) -> Dict[str, object]:
     """Rankings, Top-K picks and clusterings for one probed scenario,
-    computed through one similarity path."""
+    computed through one similarity path (the vectorized side through
+    all three ranking entry points; ``rank_packed(k=1)`` is figure
+    8/9's checkpoint evaluation)."""
     fields: Dict[str, object] = {}
     crp = scenario.crp
+    metric = crp.params.metric
     candidate_maps = crp.ratio_maps(scenario.candidate_names)
     for client in scenario.client_names:
         client_map = crp.ratio_map(client)
         if client_map is None:
             fields[f"rank.{client}"] = None
             continue
-        ranked = rank_candidates(
-            client_map, candidate_maps, crp.params.metric, vectorized=vectorized
-        )
-        top = select_top_k(
-            client_map, candidate_maps, 5, crp.params.metric, vectorized=vectorized
-        )
+        if vectorized:
+            ranked = rank_candidates(client_map, candidate_maps, metric)
+            top = select_top_k(client_map, candidate_maps, 5, metric)
+            top1 = rank_packed(client_map, packed_for(candidate_maps), metric, k=1)
+        else:
+            ranked = rank_scalar(client_map, candidate_maps, metric)
+            top, top1 = ranked[:5], ranked[:1]
         fields[f"rank.{client}.names"] = tuple(r.name for r in ranked)
         fields[f"rank.{client}.scores"] = tuple(r.score for r in ranked)
         fields[f"top5.{client}"] = tuple(r.name for r in top)
+        fields[f"top1.{client}"] = tuple(r.name for r in top1)
     client_maps = crp.ratio_maps(scenario.client_names)
     for threshold in (0.1, 0.5):
         result = smf_cluster(
             client_maps,
-            SmfParams(threshold=threshold, metric=crp.params.metric),
+            SmfParams(threshold=threshold, metric=metric),
             vectorized=vectorized,
         )
         key = f"smf.t{threshold:g}"
@@ -561,52 +565,4 @@ def remap_stanza_pair(
         name="remap-disabled-vs-absent",
         left=lambda: _scenario_summary_fields(disabled, probe_rounds),
         right=lambda: _scenario_summary_fields(absent, probe_rounds),
-    )
-
-
-def fig8_packed_scalar_pair(
-    seed: int = 2008,
-    clients: int = 12,
-    candidates: int = 6,
-    rounds: int = 6,
-    evaluations: int = 3,
-) -> DifferentialPair:
-    """Figure 8's packed checkpoint evaluation vs the scalar reference.
-
-    ``collect_ranks`` routes every checkpoint's Top-1 ranking through
-    the packed engine's ``k=1`` fast path; this pair holds the
-    resulting sweep point — per-client averages, the sorted series and
-    the unplottable count — byte-identical to the same sweep evaluated
-    through scalar :func:`~repro.core.selection.rank_candidates`.
-    """
-    params = ScenarioParams(
-        seed=seed,
-        dns_servers=clients,
-        planetlab_nodes=candidates,
-        build_meridian=False,
-    )
-
-    def side(packed: bool) -> Callable[[], Mapping[str, object]]:
-        def produce() -> Mapping[str, object]:
-            from repro.experiments.fig8_interval import collect_ranks
-
-            point = collect_ranks(
-                params, rounds, 20.0, evaluations, None, packed=packed
-            )
-            return {
-                "label": point.label,
-                "unplottable": point.unplottable_clients,
-                "clients": repr(sorted(point.avg_rank_by_client)),
-                "avg_ranks": repr(
-                    [point.avg_rank_by_client[c] for c in sorted(point.avg_rank_by_client)]
-                ),
-                "series": repr(point.series),
-            }
-
-        return produce
-
-    return DifferentialPair(
-        name="fig8-packed-vs-scalar",
-        left=side(True),
-        right=side(False),
     )

@@ -34,7 +34,7 @@ from repro.check.invariants import (
 from repro.core.clustering import CenterPolicy, SmfParams, smf_cluster
 from repro.core.engine import PackedPopulation
 from repro.core.ratio_map import RatioMap
-from repro.core.selection import rank_candidates, select_top_k
+from repro.core.selection import rank_candidates, rank_scalar, select_top_k
 from repro.core.similarity import SimilarityMetric, similarity
 from repro.core.tracker import RedirectionTracker
 
@@ -107,7 +107,7 @@ def _check_ranking_once(
         return None
     for metric in _METRICS:
         vectorized = rank_candidates(client, maps, metric)
-        scalar = rank_candidates(client, maps, metric, vectorized=False)
+        scalar = rank_scalar(client, maps, metric)
         if [r.name for r in vectorized] != [r.name for r in scalar]:
             return (
                 f"rank order diverged ({metric.value}): "

@@ -14,9 +14,8 @@ One call runs the whole correctness battery at small scale:
    reports (for the selected experiment producers), a
    present-but-disabled chaos stanza vs an absent one, the dense
    round loop vs the event engine under the degenerate workload,
-   the sketch-based approximate ranker vs the exact engine (plus the
-   exact-mode byte-identity of the k/exclude fast path), and figure
-   8's packed checkpoint evaluation vs the scalar ranking reference.
+   and the sketch-based approximate ranker vs the exact engine (plus
+   the exact-mode byte-identity of the k/exclude fast path).
 3. **Fuzz drivers** — seeded churn/observation/clustering fuzz with
    scalar↔vectorized cross-checks after every step and input
    shrinking on failure.
@@ -41,7 +40,6 @@ from repro.check.differential import (
     ann_exact_pair,
     chaos_stanza_pair,
     dense_event_pair,
-    fig8_packed_scalar_pair,
     remap_stanza_pair,
     obs_pair,
     scalar_vector_pair,
@@ -270,7 +268,6 @@ def _standard_pairs(
         ),
         ann_exact_pair(seed=config.seed),
         ann_exact_mode_pair(seed=config.seed),
-        fig8_packed_scalar_pair(seed=config.seed),
     ]
     if producers:
         seen: List[Callable[[str], Mapping[str, str]]] = []

@@ -6,13 +6,15 @@ cos_sim(A, B)`` then ``C`` is the closer of the two to ``A``.  The
 evaluation reports both the Top-1 pick and the average over the Top-5
 (Figures 4 and 5).
 
-Ranking runs through the vectorized engine by default — one sparse
-matvec over the packed candidate population plus an argsort (or
-``argpartition`` for Top-K) — and falls back to the scalar
-:func:`~repro.core.similarity.similarity` reference when asked
-(``vectorized=False``), which the micro-benchmarks use as the
-baseline.  Both paths produce identical rankings: same scores up to
-float summation order, same ``(-score, name)`` tie-break.
+Every public entry point — :func:`rank_candidates`,
+:func:`select_top_k`, :func:`rank_packed` — is the same query over a
+:class:`~repro.core.engine.PackedPopulation`: one sparse matvec plus an
+argsort (``argpartition`` for Top-K, the sketch index for approximate
+Top-K), memoised on the population.  :func:`rank_scalar` is the
+reference they are checked against — one scalar
+:func:`~repro.core.similarity.similarity` per candidate; it produces
+identical rankings: same scores up to float summation order, same
+``(-score, name)`` tie-break.
 """
 
 from __future__ import annotations
@@ -60,37 +62,13 @@ def _build_ranked(
     return [make(cls, (names[i], values[i])) for i in order]
 
 
-def _remember(population, key, client_map: RatioMap, result) -> None:
-    """Memoise a finished ranking on the population (bounded LRU).
-
-    The key carries ``id(client_map)``; storing the map itself pins the
-    id so it cannot be reused while the entry lives.  The population
-    clears the memo whenever its membership changes.
-    """
-    memo = population.memo
-    memo[key] = (client_map, result)
-    while len(memo) > _MEMO_SIZE:
-        memo.popitem(last=False)
-
-
-def _recall(population, key, client_map: RatioMap):
-    """A memoised ranking, or None — refreshing recency on the hit so
-    a hot entry survives eviction rotation (eviction drops the least
-    recently *used* entry, not the oldest inserted)."""
-    memo = population.memo
-    hit = memo.get(key)
-    if hit is not None and hit[0] is client_map:
-        memo.move_to_end(key)
-        return hit[1]
-    return None
-
-
-def _rank_scalar(
+def rank_scalar(
     client_map: RatioMap,
     candidate_maps: Mapping[str, Optional[RatioMap]],
-    metric: SimilarityMetric,
+    metric: SimilarityMetric = SimilarityMetric.COSINE,
 ) -> List[RankedCandidate]:
-    """The reference implementation: one scalar similarity per candidate."""
+    """The reference implementation: one scalar similarity per candidate
+    (for ``repro.check`` and the tests; no serving or experiment path)."""
     ranked = [
         RankedCandidate(name, similarity(client_map, candidate_map, metric))
         for name, candidate_map in candidate_maps.items()
@@ -100,12 +78,62 @@ def _rank_scalar(
     return ranked
 
 
+def _rank(
+    client_map: RatioMap,
+    population,
+    metric: SimilarityMetric,
+    exclude: Optional[str] = None,
+    k: Optional[int] = None,
+    approx: Optional["AnnParams"] = None,
+) -> List[RankedCandidate]:
+    """The one ranking query behind every public entry point.
+
+    The memo key carries ``id(client_map)``; storing the map itself
+    pins the id so it cannot be reused while the entry lives, and a hit
+    refreshes recency so a hot entry survives eviction rotation (the
+    least recently *used* entry goes, not the oldest inserted).  The
+    population clears the memo whenever its membership changes.
+    """
+    if k is not None and k < 1:
+        raise ValueError("k must be at least 1")
+    if len(population) == 0:
+        return []
+    if k is None:
+        approx = None  # a full ranking needs every score anyway
+    memo = population.memo
+    memo_key = (id(client_map), metric, exclude, k, approx)
+    hit = memo.get(memo_key)
+    if hit is not None and hit[0] is client_map:
+        memo.move_to_end(memo_key)
+        return list(hit[1])
+    if approx is not None:
+        from repro.core import ann
+
+        result = ann.approx_top_k(
+            client_map, population, k, metric, params=approx, exclude=exclude
+        )
+    else:
+        scores = population.scores(client_map, metric)
+        dropping = exclude is not None and exclude in population
+        if k is None:
+            order = population.ranked_indices(scores)
+        else:
+            # Exclusion before cutoff: fetch one spare row when the
+            # excluded name could land inside the slice.
+            order = population.top_k_indices(scores, k + 1 if dropping else k)
+        result = _build_ranked(population.names, scores.tolist(), order.tolist())
+        if dropping:
+            result = [c for c in result if c.name != exclude][:k]
+    memo[memo_key] = (client_map, result)
+    while len(memo) > _MEMO_SIZE:
+        memo.popitem(last=False)
+    return list(result)
+
+
 def rank_candidates(
     client_map: RatioMap,
     candidate_maps: Mapping[str, Optional[RatioMap]],
     metric: SimilarityMetric = SimilarityMetric.COSINE,
-    *,
-    vectorized: bool = True,
 ) -> List[RankedCandidate]:
     """All candidates, ranked by similarity to the client, best first.
 
@@ -113,20 +141,7 @@ def rank_candidates(
     has not bootstrapped cannot be ranked.  Ties break by name so the
     ranking is deterministic.
     """
-    if not vectorized:
-        return _rank_scalar(client_map, candidate_maps, metric)
-    population = packed_for(candidate_maps)
-    if len(population) == 0:
-        return []
-    memo_key = (id(client_map), metric, 0)
-    hit = _recall(population, memo_key, client_map)
-    if hit is not None:
-        return list(hit)
-    scores = population.scores(client_map, metric)
-    order = population.ranked_indices(scores)
-    result = _build_ranked(population.names, scores.tolist(), order.tolist())
-    _remember(population, memo_key, client_map, result)
-    return list(result)
+    return _rank(client_map, packed_for(candidate_maps), metric)
 
 
 def rank_packed(
@@ -161,40 +176,7 @@ def rank_packed(
     order regardless of packing history, and the ``(-score, name)``
     tie-break is independent of row order.
     """
-    if len(population) == 0:
-        return []
-    if k is not None and k < 1:
-        raise ValueError("k must be at least 1")
-    use_approx = approx is not None and k is not None
-    if k is None and approx is None:
-        memo_key = (id(client_map), metric, -1, exclude)
-    else:
-        memo_key = (id(client_map), metric, -1, exclude, k, approx)
-    hit = _recall(population, memo_key, client_map)
-    if hit is not None:
-        return list(hit)
-    if use_approx:
-        from repro.core import ann
-
-        result = ann.approx_top_k(
-            client_map, population, k, metric, params=approx, exclude=exclude
-        )
-    else:
-        scores = population.scores(client_map, metric)
-        if k is None:
-            order = population.ranked_indices(scores)
-        else:
-            # Exclusion before cutoff: fetch one spare row when the
-            # excluded name could land inside the slice.
-            spare = 1 if exclude is not None and exclude in population else 0
-            order = population.top_k_indices(scores, k + spare)
-        result = _build_ranked(population.names, scores.tolist(), order.tolist())
-        if exclude is not None:
-            result = [c for c in result if c.name != exclude]
-        if k is not None:
-            result = result[:k]
-    _remember(population, memo_key, client_map, result)
-    return list(result)
+    return _rank(client_map, population, metric, exclude, k, approx)
 
 
 def select_top_k(
@@ -203,45 +185,19 @@ def select_top_k(
     k: int,
     metric: SimilarityMetric = SimilarityMetric.COSINE,
     *,
-    vectorized: bool = True,
     approx: Optional["AnnParams"] = None,
 ) -> List[RankedCandidate]:
     """The best ``k`` candidates (the paper's "Top 5" uses k=5).
 
-    Vectorized, this is an ``argpartition`` rather than a full sort —
-    with the same output as ``rank_candidates(...)[:k]``, ties and all.
-    Passing ``approx`` (an :class:`~repro.core.ann.AnnParams`) routes
-    the query through the sketch index instead — shortlist gather +
-    exact rerank, sublinear in the candidate count, with identical
-    output whenever the shortlist covers the exact Top-K (which the
-    ``ann-vs-exact`` self-check pair verifies at the calibrated
-    widths).
+    An ``argpartition`` rather than a full sort — with the same output
+    as ``rank_candidates(...)[:k]``, ties and all.  Passing ``approx``
+    (an :class:`~repro.core.ann.AnnParams`) routes the query through
+    the sketch index instead — shortlist gather + exact rerank,
+    sublinear in the candidate count, with identical output whenever
+    the shortlist covers the exact Top-K (which the ``ann-vs-exact``
+    self-check pair verifies at the calibrated widths).
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    if approx is not None and not vectorized:
-        raise ValueError("approximate ranking requires the vectorized path")
-    if not vectorized:
-        return _rank_scalar(client_map, candidate_maps, metric)[:k]
-    population = packed_for(candidate_maps)
-    if len(population) == 0:
-        return []
-    memo_key = (id(client_map), metric, k) if approx is None else (
-        id(client_map), metric, k, approx
-    )
-    hit = _recall(population, memo_key, client_map)
-    if hit is not None:
-        return list(hit)
-    if approx is not None:
-        from repro.core import ann
-
-        result = ann.approx_top_k(client_map, population, k, metric, params=approx)
-    else:
-        scores = population.scores(client_map, metric)
-        order = population.top_k_indices(scores, k)
-        result = _build_ranked(population.names, scores.tolist(), order.tolist())
-    _remember(population, memo_key, client_map, result)
-    return list(result)
+    return _rank(client_map, packed_for(candidate_maps), metric, None, k, approx)
 
 
 def select_closest(

@@ -47,14 +47,9 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.ann import AnnParams
 from repro.core.clustering import ClusteringResult, SmfParams, smf_cluster
-from repro.core.engine import PackedPopulation
+from repro.core.engine import PackedPopulation, packed_for
 from repro.core.ratio_map import RatioMap
-from repro.core.selection import (
-    RankedCandidate,
-    rank_candidates,
-    rank_packed,
-    select_top_k,
-)
+from repro.core.selection import RankedCandidate, rank_packed
 from repro.core.similarity import SimilarityMetric
 from repro.core.tracker import Observation, RedirectionTracker
 from repro.dnssim.resolver import RecursiveResolver, ResolutionError
@@ -807,6 +802,39 @@ class CRPService:
         )
         return ratio_map, observed_at, True
 
+    def _rank(
+        self,
+        client: str,
+        client_map: RatioMap,
+        candidates: Sequence[str],
+        window_probes: Optional[int],
+        k: Optional[int] = None,
+    ) -> List[RankedCandidate]:
+        """Rank ``candidates`` (never the client itself) for a client;
+        ``k`` only takes effect in approximate mode (see :meth:`position`)."""
+        tracked = self._tracked_candidates
+        if tracked is not None and (
+            candidates is tracked or tuple(candidates) == tracked
+        ):
+            # Streaming path: the long-lived packed population absorbs
+            # candidate-map changes incrementally; no per-query packing.
+            population = self._packed_candidates(window_probes)
+            exclude = client if client in self._tracked_set else None
+        else:
+            population = packed_for(
+                {
+                    name: self.ratio_map(name, window_probes=window_probes)
+                    for name in candidates
+                    if name != client
+                }
+            )
+            exclude = None
+        ann = self.params.ann
+        return rank_packed(
+            client_map, population, self.params.metric,
+            exclude=exclude, k=k if ann is not None else None, approx=ann,
+        )
+
     def position(
         self,
         client: str,
@@ -848,37 +876,7 @@ class CRPService:
                 map_age_s=None,
                 client_state=state,
             )
-        tracked = self._tracked_candidates
-        if tracked is not None and (
-            candidates is tracked or tuple(candidates) == tracked
-        ):
-            # Streaming path: the long-lived packed population absorbs
-            # candidate-map changes incrementally; no per-query packing.
-            population = self._packed_candidates(window_probes)
-            use_k = k if self.params.ann is not None else None
-            ranked = rank_packed(
-                client_map,
-                population,
-                self.params.metric,
-                exclude=client if client in self._tracked_set else None,
-                k=use_k,
-                approx=self.params.ann if use_k is not None else None,
-            )
-        else:
-            candidate_maps = {
-                name: self.ratio_map(name, window_probes=window_probes)
-                for name in candidates
-                if name != client
-            }
-            if self.params.ann is not None and k is not None:
-                ranked = select_top_k(
-                    client_map, candidate_maps, k, self.params.metric,
-                    approx=self.params.ann,
-                )
-            else:
-                ranked = rank_candidates(
-                    client_map, candidate_maps, self.params.metric
-                )
+        ranked = self._rank(client, client_map, candidates, window_probes, k)
         stale = from_fallback or (
             age is not None and age > self.params.probe_policy.stale_after_s
         )
@@ -913,13 +911,7 @@ class CRPService:
         client_map = self.ratio_map(client, window_probes=window_probes)
         if client_map is None:
             return []
-        candidate_maps = {
-            name: self.ratio_map(name, window_probes=window_probes)
-            for name in candidates
-            if name != client
-        }
-        candidate_maps = {n: m for n, m in candidate_maps.items() if m is not None}
-        return rank_candidates(client_map, candidate_maps, self.params.metric)
+        return self._rank(client, client_map, candidates, window_probes)
 
     def closest_server(
         self,

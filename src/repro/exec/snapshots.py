@@ -6,33 +6,37 @@ so no consumer can mutate what a later consumer restores — the store
 is a cache of *states*, not of live objects.  Two families of entries
 share it:
 
-* **probe-trace snapshots** — :class:`~repro.workloads.scenario.ScenarioSnapshot`
-  payloads keyed by :func:`~repro.workloads.scenario.probe_window_key`
-  (params fingerprint + rounds + interval), written by
-  :func:`~repro.workloads.scenario.driven_scenario`;
+* **probing windows** — :class:`WindowSnapshot` payloads keyed by
+  :func:`window_key` (params fingerprint + probing schedule), written
+  by the drivers in :mod:`repro.workloads.scenario`;
 * **derived artifacts** — expensive post-probing results (a
   :class:`~repro.experiments.harness.ClosestNodeOutcome`, a
   :class:`~repro.experiments.clustering.ClusteringStudy`) keyed by the
   same fingerprint scheme, via :meth:`SnapshotStore.get_or_compute`.
 
-Probe-trace snapshots are additionally **prefix-extensible**: a
-window at ``(params, rounds=R, interval=I)`` can be satisfied by
-restoring any cached ``(params, rounds=r<R, interval=I)`` snapshot and
-probing only the remaining ``R−r`` rounds (the round loop is
-stateless across iterations, so the split is behaviourally identical
-to a straight run).  :meth:`SnapshotStore.best_prefix` serves the
-longest such prefix; :func:`~repro.workloads.scenario.driven_scenario`
-and :func:`~repro.workloads.scenario.driven_checkpoints` consume it.
+A window's schedule is one of two strings, built and parsed only here:
+:func:`rounds_schedule` (``r{rounds}:i{interval:g}``, the dense round
+loop) or :func:`events_schedule` (``{workload.key}:u{until:g}``, the
+event loop).  Round-schedule windows are additionally
+**prefix-extensible**: a window at ``(params, rounds=R, interval=I)``
+can be satisfied by restoring any cached ``(params, rounds=r<R,
+interval=I)`` snapshot and probing only the remaining ``R−r`` rounds
+(the round loop is stateless across iterations, so the split is
+behaviourally identical to a straight run).
+:meth:`SnapshotStore.best_prefix` serves the longest such prefix;
+:func:`~repro.workloads.scenario.driven_checkpoints` consumes it.
 
-Hit/miss counters feed the sweep manifest and
-``BENCH_pipeline.json``, alongside prefix accounting: ``prefix_hits``
-(windows satisfied by a shorter cached prefix), ``rounds_saved``
-(rounds restored instead of simulated), ``rounds_extended`` (rounds
-probed on top of a prefix), and ``full_runs`` (scenarios built from
-scratch).  An optional directory makes entries survive the process
-(one file per key, written atomically), which lets repeat bench runs
-skip re-simulation entirely; probe-window entries also get a sidecar
-``.key`` file so a fresh process can discover usable prefixes.
+Hit/miss counters feed the sweep manifest, alongside prefix
+accounting: ``prefix_hits`` (windows satisfied by a shorter cached
+prefix), ``rounds_saved`` (rounds restored instead of simulated),
+``rounds_extended`` (rounds probed on top of a prefix), and
+``full_runs`` (scenarios built from scratch).  An optional directory
+makes entries survive the process (one file per key, written
+atomically), which lets repeat runs skip re-simulation entirely;
+round-schedule entries also get a sidecar ``.key`` file so a fresh
+process can discover usable prefixes.  A payload that cannot be
+unpickled raises :class:`SnapshotCorruptError` and counts on
+``snapshot.corrupt``.
 """
 
 from __future__ import annotations
@@ -40,31 +44,121 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
+import re
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, Optional, Tuple, TypeVar, Union
 
+from repro.obs import get_observability
+from repro.obs.manifest import fingerprint_params
+
 T = TypeVar("T")
 
-_PROBE_WINDOW_PREFIX = "probe-window:"
 #: Window payloads are full scenario pickles — by far the largest
 #: entries — so disk-backed stores write them through instead of also
-#: retaining them in memory (see :meth:`SnapshotStore.put`).
-_WINDOW_KEY_PREFIXES = (_PROBE_WINDOW_PREFIX, "event-window:")
+#: retaining them in memory (see :meth:`SnapshotStore.put`).  Never
+#: reuse ``probe-window:`` / ``event-window:`` here: cache directories
+#: may still hold payloads of classes that no longer exist under those
+#: prefixes, and a different prefix makes them cold misses rather than
+#: corrupt hits.
+_WINDOW_PREFIX = "window:"
 
 
-def _parse_probe_window_key(key: str) -> Optional[Tuple[str, str, int]]:
-    """``(params_fp, interval_label, rounds)`` for a probe-window key."""
-    if not key.startswith(_PROBE_WINDOW_PREFIX):
-        return None
+class SnapshotCorruptError(Exception):
+    """A stored payload that cannot be unpickled (truncated file, class
+    from another code version); ``key`` names it."""
+
+    def __init__(self, key: str) -> None:
+        super().__init__(f"snapshot payload under {key!r} cannot be unpickled")
+        self.key = key
+
+
+def _unpickle(key: str, payload: bytes) -> object:
     try:
-        params_fp, rounds_part, interval_part = key[
-            len(_PROBE_WINDOW_PREFIX):
-        ].rsplit(":", 2)
-        if not rounds_part.startswith("r") or not interval_part.startswith("i"):
-            return None
-        return params_fp, interval_part[1:], int(rounds_part[1:])
-    except ValueError:
+        return pickle.loads(payload)
+    except Exception as exc:
+        # Damaged or foreign bytes fail in whatever opcode they reach:
+        # pickle documents UnpicklingError, EOFError, AttributeError,
+        # ImportError and IndexError "but not necessarily limited to".
+        get_observability().metrics.counter("snapshot.corrupt").inc()
+        raise SnapshotCorruptError(key) from exc
+
+
+def rounds_schedule(rounds: int, interval_minutes: float) -> str:
+    """The schedule of ``rounds`` dense probe rounds at one interval."""
+    return f"r{rounds}:i{interval_minutes:g}"
+
+
+def events_schedule(workload_key: str, until_s: float) -> str:
+    """The schedule of one event-driven window: workloads self-describe
+    via their ``key`` (generator family, population, rate, seed), so two
+    windows share a schedule exactly when they replay one event stream."""
+    return f"{workload_key}:u{until_s:g}"
+
+
+def window_key(params_fingerprint: str, schedule: str) -> str:
+    """The content address of one driven probing window: any change to
+    the parameters or the schedule is a different window and must
+    re-simulate."""
+    return f"{_WINDOW_PREFIX}{params_fingerprint}:{schedule}"
+
+
+_ROUNDS_KEY = re.compile(rf"{_WINDOW_PREFIX}(.+):r(\d+):i([^:]+)")
+
+
+def _parse_rounds_key(key: str) -> Optional[Tuple[str, str, int]]:
+    """``(params_fp, interval_label, rounds)`` for a round-schedule
+    window key; None for every other key."""
+    match = _ROUNDS_KEY.fullmatch(key)
+    if match is None:
         return None
+    return match[1], match[3], int(match[2])
+
+
+@dataclass(frozen=True)
+class WindowSnapshot:
+    """A driven scenario, frozen after its probing window.
+
+    The payload is the full pickled
+    :class:`~repro.workloads.scenario.Scenario` — redirection logs,
+    tracker versions, resolver caches, clock, and every derived RNG
+    stream mid-sequence — so a restored scenario is behaviourally
+    indistinguishable from the one that was driven: identical rankings,
+    identical subsequent measurements, identical Meridian answers.
+    ``stats`` carries the event-loop stats of an event window (a
+    restore skips the simulation, so they cannot be recomputed); round
+    windows leave it empty.
+    """
+
+    params_fingerprint: str
+    schedule: str
+    sim_now: float
+    probes_issued: int
+    stats: Dict[str, object] = field(default_factory=dict)
+    payload: bytes = field(repr=False, default=b"")
+
+    @classmethod
+    def capture(
+        cls, scenario, schedule: str, stats: Optional[Dict[str, object]] = None
+    ) -> "WindowSnapshot":
+        return cls(
+            params_fingerprint=fingerprint_params(scenario.params),
+            schedule=schedule,
+            sim_now=scenario.clock.now,
+            probes_issued=scenario.crp.probes_issued,
+            stats=dict(stats or {}),
+            payload=pickle.dumps(scenario, protocol=pickle.HIGHEST_PROTOCOL),
+        )
+
+    @property
+    def key(self) -> str:
+        """The key this snapshot belongs under (drivers compare it with
+        the key they looked up, guarding against collisions)."""
+        return window_key(self.params_fingerprint, self.schedule)
+
+    def restore(self):
+        """A fresh, independent scenario at the snapshotted state."""
+        return _unpickle(self.key, self.payload)
 
 
 class SnapshotStore:
@@ -80,13 +174,14 @@ class SnapshotStore:
         self.puts = 0
         #: Prefix-extension accounting (see module doc); the window
         #: drivers in :mod:`repro.workloads.scenario` increment the
-        #: round counters, the store itself counts ``prefix_hits``.
+        #: round counters and ``full_runs``, the store itself counts
+        #: ``prefix_hits``.
         self.prefix_hits = 0
         self.rounds_saved = 0
         self.rounds_extended = 0
         self.full_runs = 0
         #: ``(params_fp, interval_label) -> {rounds: key}`` over every
-        #: probe-window entry this store knows about.
+        #: round-schedule window this store knows about.
         self._probe_index: Dict[Tuple[str, str], Dict[int, str]] = {}
         self._disk_index_loaded = False
 
@@ -110,7 +205,7 @@ class SnapshotStore:
         checkpoint of every interval in ``_entries`` would only grow
         the resident set linearly in checkpoints.
         """
-        return self.directory is None or not key.startswith(_WINDOW_KEY_PREFIXES)
+        return self.directory is None or not key.startswith(_WINDOW_PREFIX)
 
     def _payload(self, key: str) -> Optional[bytes]:
         """The raw payload from memory or disk, with no hit/miss count."""
@@ -129,8 +224,9 @@ class SnapshotStore:
         if payload is None:
             self.misses += 1
             return None
+        value = _unpickle(key, payload)
         self.hits += 1
-        return pickle.loads(payload)
+        return value
 
     def put(self, key: str, value: object) -> None:
         """Store a value (pickled immediately; later mutation is moot)."""
@@ -143,7 +239,7 @@ class SnapshotStore:
             tmp = path.with_suffix(f".tmp.{os.getpid()}")
             tmp.write_bytes(payload)
             tmp.replace(path)
-            if key.startswith(_PROBE_WINDOW_PREFIX):
+            if _parse_rounds_key(key) is not None:
                 sidecar = path.with_suffix(".key")
                 tmp = sidecar.with_suffix(f".tmp.{os.getpid()}")
                 tmp.write_text(key, encoding="utf-8")
@@ -151,14 +247,14 @@ class SnapshotStore:
         self._index_probe_key(key)
 
     def _index_probe_key(self, key: str) -> None:
-        parsed = _parse_probe_window_key(key)
+        parsed = _parse_rounds_key(key)
         if parsed is None:
             return
         params_fp, interval_label, rounds = parsed
         self._probe_index.setdefault((params_fp, interval_label), {})[rounds] = key
 
     def _load_disk_index(self) -> None:
-        """Index probe-window keys left on disk by earlier processes.
+        """Index round-schedule keys left on disk by earlier processes.
 
         Scanned once, lazily: stores are per-shard and short-lived, so
         entries written by *concurrent* processes after the scan are
@@ -181,7 +277,7 @@ class SnapshotStore:
     ) -> Optional[Tuple[int, object]]:
         """The longest cached probing prefix usable for a larger window.
 
-        Returns ``(rounds, snapshot)`` for the probe-window entry with
+        Returns ``(rounds, snapshot)`` for the round-schedule window with
         the most rounds ``<= max_rounds`` under exactly this params
         fingerprint and interval, or None.  Counted on ``prefix_hits``
         (not ``hits``/``misses`` — those stay exact-lookup counters).
@@ -196,8 +292,9 @@ class SnapshotStore:
             payload = self._payload(bucket[rounds])
             if payload is None:
                 continue
+            snapshot = _unpickle(bucket[rounds], payload)
             self.prefix_hits += 1
-            return rounds, pickle.loads(payload)
+            return rounds, snapshot
         return None
 
     def get_or_compute(self, key: str, compute: Callable[[], T]) -> T:
@@ -223,7 +320,7 @@ class SnapshotStore:
         return len(self._entries)
 
     def stats(self) -> Dict[str, int]:
-        """Hit/miss/size counters (the bench and manifest rollup).
+        """Hit/miss/size counters (the manifest rollup).
 
         ``entries``/``bytes`` cover the in-memory side only; with a
         directory, window payloads live on disk (write-through).

@@ -18,8 +18,8 @@ each evaluation checkpoint restores the longest cached prefix of its
 probing schedule, probes only the delta, and is snapshotted itself, so
 warm runs collapse to evaluation cost.  Evaluation itself goes through
 the packed engine (one shared candidate vocabulary per checkpoint,
-``rank_packed(k=1)``), held bit-identical to the scalar reference by
-the ``fig8-packed-vs-scalar`` differential pair.
+``rank_packed(k=1)``), which the ``vectorized-vs-scalar`` differential
+pair holds to the scalar ranking reference.
 """
 
 from __future__ import annotations
@@ -28,15 +28,18 @@ import dataclasses
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from repro.analysis.stats import mean, sorted_series
 from repro.analysis.tables import format_series, format_table
 from repro.core.engine import packed_for
-from repro.core.selection import rank_candidates, rank_packed
+from repro.core.selection import rank_packed
 from repro.obs import get_observability
 from repro.obs.manifest import fingerprint_params
 from repro.workloads.scenario import Scenario, ScenarioParams, driven_checkpoints
+
+if TYPE_CHECKING:  # pragma: no cover - repro.exec imports this module
+    from repro.exec.snapshots import SnapshotStore
 
 
 @dataclass
@@ -82,7 +85,7 @@ _ORDERINGS_CACHE_SIZE = 8
 
 
 def base_orderings_for(
-    scenario: Scenario, store: Optional[object] = None
+    scenario: Scenario, store: Optional[SnapshotStore] = None
 ) -> Dict[str, List[str]]:
     """Per-client base-RTT orderings, cached under the params fingerprint.
 
@@ -102,7 +105,7 @@ def base_orderings_for(
         _ORDERINGS_CACHE.move_to_end(params_fp)
         get_observability().metrics.counter("fig8.orderings.reused").inc()
         return cached
-    if store is not None and hasattr(store, "get_or_compute"):
+    if store is not None:
         orderings = store.get_or_compute(
             f"base-orderings:{params_fp}", lambda: _base_orderings(scenario)
         )
@@ -119,32 +122,23 @@ def _evaluate_top1(
     window_probes: Optional[int],
     orderings: Dict[str, List[str]],
     ranks: Dict[str, List[int]],
-    *,
-    packed: bool = True,
 ) -> None:
     """Append each client's current Top-1 rank to ``ranks`` (in place).
 
     Candidate maps are shared across clients: built once per
-    checkpoint, packed once into a shared vocabulary.  ``packed``
-    ranks through the engine's ``k=1`` fast path (argpartition plus
-    one materialised row per client); the scalar path is the
-    reference the ``fig8-packed-vs-scalar`` differential pair holds
-    it bit-identical to.
+    checkpoint, packed once into a shared vocabulary, and ranked
+    through the engine's ``k=1`` path (argpartition plus one
+    materialised row per client).
     """
     crp = scenario.crp
-    candidate_maps = crp.ratio_maps(
-        scenario.candidate_names, window_probes=window_probes
+    population = packed_for(
+        crp.ratio_maps(scenario.candidate_names, window_probes=window_probes)
     )
-    candidate_maps = {n: m for n, m in candidate_maps.items() if m is not None}
-    population = packed_for(candidate_maps) if packed else None
     for client in scenario.client_names:
         client_map = crp.ratio_map(client, window_probes=window_probes)
         if client_map is None:
             continue
-        if population is not None:
-            top = rank_packed(client_map, population, k=1)
-        else:
-            top = rank_candidates(client_map, candidate_maps, vectorized=False)
+        top = rank_packed(client_map, population, k=1)
         if not top or not top[0].has_signal:
             continue
         ranks[client].append(orderings[client].index(top[0].name))
@@ -157,9 +151,8 @@ def collect_ranks(
     evaluations: int,
     window_probes: Optional[int],
     *,
-    store: Optional[object] = None,
+    store: Optional[SnapshotStore] = None,
     orderings: Optional[Dict[str, List[str]]] = None,
-    packed: bool = True,
 ) -> RankSweepPoint:
     """Probe for ``rounds`` rounds, evaluating rank at checkpoints.
 
@@ -187,7 +180,7 @@ def collect_ranks(
             clients = len(scenario.client_names)
             if orderings is None:
                 orderings = base_orderings_for(scenario, store)
-        _evaluate_top1(scenario, window_probes, orderings, ranks, packed=packed)
+        _evaluate_top1(scenario, window_probes, orderings, ranks)
     avg = {c: mean(r) for c, r in ranks.items() if r}
     return RankSweepPoint(
         label=f"{interval_minutes:g}min/{'all' if window_probes is None else window_probes}p",
@@ -247,7 +240,7 @@ def run_fig8_point(
     duration_minutes: float,
     evaluations: int = 4,
     window_probes: Optional[int] = None,
-    store: Optional[object] = None,
+    store: Optional[SnapshotStore] = None,
 ) -> RankSweepPoint:
     """One interval's curve — the sweep's independent work cell.
 
@@ -276,7 +269,7 @@ def run_fig8(
     duration_minutes: float = 4.0 * 1440.0,
     evaluations: int = 4,
     window_probes: Optional[int] = None,
-    store: Optional[object] = None,
+    store: Optional[SnapshotStore] = None,
 ) -> Fig8Result:
     """Run the Figure 8 sweep.
 

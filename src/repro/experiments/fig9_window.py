@@ -18,7 +18,7 @@ window size is evaluated through the packed engine at each checkpoint.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from repro.analysis.stats import mean
 from repro.analysis.tables import format_series, format_table
@@ -29,6 +29,9 @@ from repro.experiments.fig8_interval import (
     format_mean_rank,
 )
 from repro.workloads.scenario import Scenario, driven_checkpoints
+
+if TYPE_CHECKING:  # pragma: no cover - repro.exec imports this module
+    from repro.exec.snapshots import SnapshotStore
 
 
 def _window_label(window: Optional[int]) -> str:
@@ -93,8 +96,7 @@ def run_fig9(
     probe_rounds: int = 200,
     interval_minutes: float = 10.0,
     evaluations: int = 4,
-    store: Optional[object] = None,
-    packed: bool = True,
+    store: Optional[SnapshotStore] = None,
 ) -> Fig9Result:
     """Run the Figure 9 sweep over one scenario.
 
@@ -125,7 +127,7 @@ def run_fig9(
         scenario=scenario,
     ):
         for window in windows:
-            _evaluate_top1(live, window, orderings, ranks[window], packed=packed)
+            _evaluate_top1(live, window, orderings, ranks[window])
 
     points: Dict[Optional[int], RankSweepPoint] = {}
     for window in windows:

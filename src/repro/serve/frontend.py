@@ -169,6 +169,10 @@ class CRPServer:
     async def start(self) -> None:
         if self._workers:
             raise RuntimeError("server already started")
+        # A service preseeded through ``ShardedCRPService.apply`` has
+        # shard clocks ahead of zero; a timestamp-less request stamped
+        # below them would ask a shard to move its clock backwards.
+        self._now = max(self._now, *(s.clock.now for s in self.service.shards))
         count = len(self.service.shards)
         self._queues = [asyncio.Queue(maxsize=self._queue_depth) for _ in range(count)]
         self._workers = [

@@ -15,9 +15,8 @@ smaller worlds with identical structure.
 
 from __future__ import annotations
 
-import pickle
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.cdn.mapping import MappingParams
 from repro.cdn.provider import CDNProvider
@@ -44,9 +43,13 @@ from repro.netsim.network import Network
 from repro.netsim.rng import derive_rng, derive_seed
 from repro.netsim.topology import Host, HostKind, Topology
 from repro.obs import get_observability
+from repro.obs.manifest import fingerprint_params
 from repro.netsim.world import World, default_world
 from repro.workloads.kingset import KingDataSet, build_king_dataset
 from repro.workloads.planetlab import PlanetLabDeployment, deploy_planetlab
+
+if TYPE_CHECKING:  # pragma: no cover - repro.exec imports this module
+    from repro.exec.snapshots import SnapshotStore
 
 
 @dataclass(frozen=True)
@@ -401,14 +404,7 @@ class Scenario:
 
         return LatticeWorkload(self.crp.active_nodes, interval_minutes, rounds)
 
-    def run_events(
-        self,
-        workload,
-        until_s: Optional[float] = None,
-        *,
-        ttl_sweeps: bool = True,
-        epoch_events: bool = True,
-    ):
+    def run_events(self, workload, until_s: Optional[float] = None):
         """Drive CRP probing event-by-event (opt-in; the dense
         :meth:`run_probe_rounds` reference path is untouched).
 
@@ -449,8 +445,7 @@ class Scenario:
         def _on_probe(event) -> None:
             name = workload.name_of(event.subject)
             crp.probe_scheduled(name)
-            if ttl_sweeps:
-                _queue_sweep(name)
+            _queue_sweep(name)
             nxt = workload.next_arrival(event.subject, event.at)
             if nxt is not None:
                 loop.schedule(EventKind.CLIENT_PROBE, nxt, event.subject)
@@ -459,8 +454,7 @@ class Scenario:
             pending_sweeps.pop(event.subject, None)
             cache = resolvers[event.subject].cache
             cache.sweep(clock.now)
-            if ttl_sweeps:
-                _queue_sweep(event.subject)
+            _queue_sweep(event.subject)
 
         def _on_fault(event) -> None:
             # The clock already sits at (or past) the boundary; sync
@@ -510,10 +504,9 @@ class Scenario:
             interval = self.detector.params.interval_s
             first_scan = (clock.now // interval + 1) * interval
             loop.schedule(EventKind.CHANGE_SCAN, first_scan)
-        if epoch_events:
-            refresh = self.cdn.mapping.params.refresh_seconds
-            first_epoch = (clock.now // refresh + 1) * refresh
-            loop.schedule(EventKind.MAPPING_EPOCH, first_epoch)
+        refresh = self.cdn.mapping.params.refresh_seconds
+        first_epoch = (clock.now // refresh + 1) * refresh
+        loop.schedule(EventKind.MAPPING_EPOCH, first_epoch)
 
         population = len(workload.names)
         first_arrivals = getattr(workload, "first_arrivals", None)
@@ -536,107 +529,23 @@ class Scenario:
         return loop
 
 
-# -- probe-trace snapshots ---------------------------------------------------
+# -- snapshot-cached probing windows -----------------------------------------
 
 
-def probe_window_key(
-    params: ScenarioParams, rounds: int, interval_minutes: float
-) -> str:
-    """The content address of one driven probing window.
-
-    Keyed by the exact parameters (via their fingerprint) plus the
-    probing schedule; any change to either is a different window and
-    must re-simulate.
-    """
-    from repro.obs.manifest import fingerprint_params
-
-    return (
-        f"probe-window:{fingerprint_params(params)}"
-        f":r{rounds}:i{interval_minutes:g}"
-    )
-
-
-@dataclass(frozen=True)
-class ScenarioSnapshot:
-    """A driven scenario, frozen after its probing window.
-
-    The payload is the full pickled :class:`Scenario` — redirection
-    logs, tracker versions, resolver caches, clock, and every derived
-    RNG stream mid-sequence — so a restored scenario is behaviourally
-    indistinguishable from the one that was driven: identical rankings,
-    identical subsequent measurements, identical Meridian answers.
-    """
-
-    params_fingerprint: str
-    rounds: int
-    interval_minutes: float
-    sim_now: float
-    probes_issued: int
-    payload: bytes = field(repr=False, default=b"")
-
-    @classmethod
-    def capture(
-        cls, scenario: Scenario, rounds: int, interval_minutes: float
-    ) -> "ScenarioSnapshot":
-        from repro.obs.manifest import fingerprint_params
-
-        return cls(
-            params_fingerprint=fingerprint_params(scenario.params),
-            rounds=rounds,
-            interval_minutes=interval_minutes,
-            sim_now=scenario.clock.now,
-            probes_issued=scenario.crp.probes_issued,
-            payload=pickle.dumps(scenario, protocol=pickle.HIGHEST_PROTOCOL),
-        )
-
-    def restore(self) -> Scenario:
-        """A fresh, independent scenario at the snapshotted state."""
-        return pickle.loads(self.payload)
-
-    def matches(
-        self, params: ScenarioParams, rounds: int, interval_minutes: float
-    ) -> bool:
-        from repro.obs.manifest import fingerprint_params
-
-        return (
-            self.params_fingerprint == fingerprint_params(params)
-            and self.rounds == rounds
-            and self.interval_minutes == interval_minutes
-        )
-
-
-def _snapshot_mismatch(
-    key: str,
-    snapshot: ScenarioSnapshot,
-    params: ScenarioParams,
-    rounds: int,
-    interval_minutes: float,
-) -> ValueError:
-    """A triage-ready error for a snapshot that disagrees with its key."""
-    from repro.obs.manifest import fingerprint_params
-
-    return ValueError(
-        f"snapshot under {key!r} does not match its key: stored "
-        f"(params_fp={snapshot.params_fingerprint}, "
-        f"rounds={snapshot.rounds}, "
-        f"interval={snapshot.interval_minutes:g}) vs requested "
-        f"(params_fp={fingerprint_params(params)}, rounds={rounds}, "
-        f"interval={interval_minutes:g})"
-    )
-
-
-def _count(store: object, attr: str, amount: int = 1) -> None:
-    """Bump a store counter if this store keeps one (duck-typed)."""
-    value = getattr(store, attr, None)
-    if isinstance(value, int):
-        setattr(store, attr, value + amount)
+def _cached_window(store: SnapshotStore, key: str):
+    """The window snapshot stored under ``key`` (None on a miss),
+    refused when it describes a different window than its key does."""
+    snapshot = store.get(key)
+    if snapshot is not None and snapshot.key != key:
+        raise ValueError(f"snapshot under {key!r} holds the window {snapshot.key!r}")
+    return snapshot
 
 
 def driven_checkpoints(
     params: ScenarioParams,
     checkpoints: Sequence[int],
     interval_minutes: float = 10.0,
-    store: Optional[object] = None,
+    store: Optional[SnapshotStore] = None,
     scenario: Optional[Scenario] = None,
 ):
     """Drive one scenario through ascending round checkpoints, yielding
@@ -661,7 +570,7 @@ def driven_checkpoints(
     ``rounds_extended``; a from-scratch build counts on ``full_runs``;
     mirrored on obs counters under ``snapshot.window.*``.
     """
-    from repro.obs.manifest import fingerprint_params
+    from repro.exec.snapshots import WindowSnapshot, rounds_schedule, window_key
 
     targets = sorted(set(int(c) for c in checkpoints))
     if not targets or targets[0] < 1:
@@ -679,15 +588,12 @@ def driven_checkpoints(
         raise ValueError("a seed scenario must be virgin (no probes, clock at 0)")
     current = 0
     for target in targets:
-        key = probe_window_key(params, target, interval_minutes)
-        snapshot = store.get(key) if store is not None else None
+        schedule = rounds_schedule(target, interval_minutes)
+        key = window_key(params_fp, schedule)
+        snapshot = _cached_window(store, key) if store is not None else None
         if snapshot is not None:
-            if not snapshot.matches(params, target, interval_minutes):
-                raise _snapshot_mismatch(
-                    key, snapshot, params, target, interval_minutes
-                )
             live = snapshot.restore()
-            _count(store, "rounds_saved", target - current)
+            store.rounds_saved += target - current
             obs.metrics.counter("snapshot.window.restored").inc()
             obs.metrics.counter("snapshot.window.rounds_saved").inc(
                 target - current
@@ -698,32 +604,30 @@ def driven_checkpoints(
         if live is None:
             prefix = (
                 store.best_prefix(params_fp, interval_minutes, target)
-                if store is not None and hasattr(store, "best_prefix")
+                if store is not None
                 else None
             )
             if prefix is not None:
                 current, prefix_snapshot = prefix
                 live = prefix_snapshot.restore()
-                _count(store, "rounds_saved", current)
+                store.rounds_saved += current
                 obs.metrics.counter("snapshot.window.prefix_restored").inc()
                 obs.metrics.counter("snapshot.window.rounds_saved").inc(current)
             else:
                 live = Scenario(params)
                 if store is not None:
-                    _count(store, "full_runs")
+                    store.full_runs += 1
                     obs.metrics.counter("snapshot.window.full_runs").inc()
         if target > current:
             live.run_probe_rounds(target - current, interval_minutes)
             if store is not None:
-                _count(store, "rounds_extended", target - current)
+                store.rounds_extended += target - current
                 obs.metrics.counter("snapshot.window.rounds_extended").inc(
                     target - current
                 )
             current = target
         if store is not None:
-            store.put(
-                key, ScenarioSnapshot.capture(live, target, interval_minutes)
-            )
+            store.put(key, WindowSnapshot.capture(live, schedule))
         yield target, live
 
 
@@ -731,146 +635,45 @@ def driven_scenario(
     params: ScenarioParams,
     rounds: int,
     interval_minutes: float = 10.0,
-    store: Optional[object] = None,
+    store: Optional[SnapshotStore] = None,
 ) -> Scenario:
-    """A scenario with its probing window driven, snapshot-cached.
-
-    Without a store this is exactly ``Scenario(params)`` followed by
-    :meth:`Scenario.run_probe_rounds`.  With a store (anything offering
-    ``get(key)``/``put(key, value)``, e.g.
-    :class:`repro.exec.SnapshotStore`), the driven state is captured
-    under :func:`probe_window_key` and later calls with the same
-    parameters and schedule restore it instead of re-simulating; a
-    longer window restores the longest cached prefix of the same
-    ``(params, interval)`` and probes only the remaining rounds.
+    """A scenario with its probing window driven, snapshot-cached: the
+    single-checkpoint case of :func:`driven_checkpoints` (without a
+    store, ``Scenario(params)`` then :meth:`Scenario.run_probe_rounds`).
     """
-    if store is None:
-        scenario = Scenario(params)
-        scenario.run_probe_rounds(rounds, interval_minutes)
-        return scenario
-    for _, scenario in driven_checkpoints(
+    ((_, scenario),) = driven_checkpoints(
         params, [rounds], interval_minutes, store=store
-    ):
-        pass
-    return scenario
-
-
-# -- event-window snapshots ---------------------------------------------------
-
-
-def event_window_key(
-    params: ScenarioParams, workload_key: str, until_s: float
-) -> str:
-    """The content address of one event-driven probing window.
-
-    Workloads self-describe via their ``key`` attribute (generator
-    family, population, rate, seed), so two windows share an address
-    exactly when they would replay the same event stream over the same
-    world.
-    """
-    from repro.obs.manifest import fingerprint_params
-
-    return (
-        f"event-window:{fingerprint_params(params)}"
-        f":{workload_key}:u{until_s:g}"
     )
-
-
-@dataclass(frozen=True)
-class EventWindowSnapshot:
-    """A scenario frozen after an event-driven probing window.
-
-    Like :class:`ScenarioSnapshot` but addressed by workload rather
-    than by round schedule, and carrying the event-loop stats of the
-    window that produced it (a restore skips the simulation, so the
-    stats cannot be recomputed).
-    """
-
-    params_fingerprint: str
-    workload_key: str
-    until_s: float
-    sim_now: float
-    probes_issued: int
-    stats: Dict[str, object] = field(default_factory=dict)
-    payload: bytes = field(repr=False, default=b"")
-
-    @classmethod
-    def capture(
-        cls,
-        scenario: Scenario,
-        workload_key: str,
-        until_s: float,
-        stats: Dict[str, object],
-    ) -> "EventWindowSnapshot":
-        from repro.obs.manifest import fingerprint_params
-
-        return cls(
-            params_fingerprint=fingerprint_params(scenario.params),
-            workload_key=workload_key,
-            until_s=until_s,
-            sim_now=scenario.clock.now,
-            probes_issued=scenario.crp.probes_issued,
-            stats=dict(stats),
-            payload=pickle.dumps(scenario, protocol=pickle.HIGHEST_PROTOCOL),
-        )
-
-    def restore(self) -> Scenario:
-        return pickle.loads(self.payload)
-
-    def matches(
-        self, params: ScenarioParams, workload_key: str, until_s: float
-    ) -> bool:
-        from repro.obs.manifest import fingerprint_params
-
-        return (
-            self.params_fingerprint == fingerprint_params(params)
-            and self.workload_key == workload_key
-            and self.until_s == until_s
-        )
+    return scenario
 
 
 def driven_scenario_events(
     params: ScenarioParams,
     build_workload,
     until_s: float,
-    store: Optional[object] = None,
+    store: Optional[SnapshotStore] = None,
 ) -> Tuple[Scenario, Dict[str, object]]:
     """A scenario with an event window driven, snapshot-cached.
 
     ``build_workload`` is a callable taking the constructed scenario
     and returning a workload (the population usually comes from the
-    scenario itself); its result must expose a stable ``key``.  Returns
-    the scenario plus the window's event-loop stats (from the snapshot
-    on a cache hit).
+    scenario itself); its result must expose a stable ``key``, which
+    addresses the window — so a cache hit pays world construction but
+    not simulation.  Returns the scenario plus the window's event-loop
+    stats (from the snapshot on a cache hit).
     """
-    # A builder may pre-declare its workload key so cache hits skip
-    # world construction entirely; otherwise the key is read off the
-    # built workload (construction is paid, simulation still saved).
-    key_hint = getattr(build_workload, "key", None)
-    if store is not None and key_hint is not None:
-        snapshot = store.get(event_window_key(params, key_hint, until_s))
-        if snapshot is not None:
-            if not snapshot.matches(params, key_hint, until_s):
-                raise ValueError("event-window snapshot does not match its key")
-            return snapshot.restore(), dict(snapshot.stats)
+    from repro.exec.snapshots import WindowSnapshot, events_schedule, window_key
+
     scenario = Scenario(params)
     workload = build_workload(scenario)
-    if key_hint is not None and workload.key != key_hint:
-        raise ValueError(
-            f"builder key hint {key_hint!r} disagrees with workload key "
-            f"{workload.key!r}"
-        )
-    key = event_window_key(params, workload.key, until_s)
-    if store is not None and key_hint is None:
-        snapshot = store.get(key)
+    schedule = events_schedule(workload.key, until_s)
+    key = window_key(fingerprint_params(params), schedule)
+    if store is not None:
+        snapshot = _cached_window(store, key)
         if snapshot is not None:
-            if not snapshot.matches(params, workload.key, until_s):
-                raise ValueError(f"snapshot under {key!r} does not match its key")
             return snapshot.restore(), dict(snapshot.stats)
     loop = scenario.run_events(workload, until_s)
     stats = loop.stats().as_dict()
     if store is not None:
-        store.put(
-            key, EventWindowSnapshot.capture(scenario, workload.key, until_s, stats)
-        )
+        store.put(key, WindowSnapshot.capture(scenario, schedule, stats))
     return scenario, stats

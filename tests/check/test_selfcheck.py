@@ -19,8 +19,7 @@ def test_run_selfcheck_passes_on_main():
     assert report.invariants_checked > 0
     # scalar/vector + chaos stanza + remap stanza + dense/event
     # + sharded service vs unsharded + ann-vs-exact + ann exact-mode
-    # + fig8 packed-vs-scalar
-    assert report.pairs_run == 8
+    assert report.pairs_run == 7
     assert report.fuzz_drivers_run == 4
     assert "self-check: OK" in report.render()
 
@@ -34,7 +33,7 @@ def test_selfcheck_includes_obs_pairs_for_producers():
 
     report = run_selfcheck(FAST, producers={"toy": producer, "toy2": producer})
     assert report.ok, report.render()
-    assert report.pairs_run == 9  # deduped: one producer serving two keys
+    assert report.pairs_run == 8  # deduped: one producer serving two keys
     assert calls == ["quick", "quick"]  # once per side
 
 

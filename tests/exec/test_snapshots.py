@@ -1,18 +1,26 @@
-"""The snapshot store and probe-trace snapshot reuse."""
+"""The snapshot store and probing-window snapshot reuse."""
+
+import pickle
+import sys
+import types
 
 import pytest
 
 from repro.check.invariants import check_snapshot_restore, default_registry
 from repro.exec import SnapshotStore
-from repro.workloads.scenario import (
-    Scenario,
-    ScenarioParams,
-    ScenarioSnapshot,
-    driven_scenario,
-    probe_window_key,
+from repro.exec.snapshots import (
+    SnapshotCorruptError,
+    WindowSnapshot,
+    events_schedule,
+    rounds_schedule,
+    window_key,
 )
+from repro.obs import Observability, observed
+from repro.obs.manifest import fingerprint_params
+from repro.workloads.scenario import Scenario, ScenarioParams, driven_scenario
 
 TINY = ScenarioParams(seed=42, dns_servers=10, planetlab_nodes=6, build_meridian=False)
+TINY_FP = fingerprint_params(TINY)
 
 
 # -- the store ---------------------------------------------------------------
@@ -104,15 +112,46 @@ def test_params_change_misses_the_cache():
     assert store.full_runs == 2
     assert store.prefix_hits == 1
     assert (store.rounds_saved, store.rounds_extended) == (6, 6 + 6 + 2)
-    assert probe_window_key(TINY, 6, 10.0) != probe_window_key(other, 6, 10.0)
+    schedule = rounds_schedule(6, 10.0)
+    assert window_key(TINY_FP, schedule) != window_key(
+        fingerprint_params(other), schedule
+    )
 
 
-def test_snapshot_matches_guards_key_collisions():
-    scenario = Scenario(TINY)
+def _drive_rounds(scenario):
     scenario.run_probe_rounds(2)
-    snapshot = ScenarioSnapshot.capture(scenario, rounds=2, interval_minutes=10.0)
-    assert snapshot.matches(TINY, 2, 10.0)
-    assert not snapshot.matches(TINY, 3, 10.0)
+    return rounds_schedule(2, 10.0), rounds_schedule(3, 10.0), None
+
+
+def _drive_events(scenario):
+    loop = scenario.run_events(scenario.dense_workload(2))
+    stats = loop.stats().as_dict()
+    until = scenario.clock.now
+    return events_schedule("lattice:r2:i10", until), events_schedule(
+        "lattice:r3:i10", until
+    ), stats
+
+
+@pytest.mark.parametrize(
+    "drive", [_drive_rounds, _drive_events], ids=["rounds", "events"]
+)
+def test_window_snapshot_roundtrip(drive):
+    """One snapshot type serves both schedule kinds: the key names the
+    window (guarding collisions), a store round-trip keeps every field,
+    and the restored scenario is at the captured state."""
+    scenario = Scenario(TINY)
+    schedule, other_schedule, stats = drive(scenario)
+    snapshot = WindowSnapshot.capture(scenario, schedule, stats)
+    assert snapshot.key == window_key(TINY_FP, schedule)
+    assert snapshot.key != window_key(TINY_FP, other_schedule)
+    store = SnapshotStore()
+    store.put(snapshot.key, snapshot)
+    stored = store.get(snapshot.key)
+    assert stored == snapshot and stored.stats == (stats or {})
+    restored = stored.restore()
+    assert restored.clock.now == scenario.clock.now == snapshot.sim_now
+    assert restored.crp.probes_issued == scenario.crp.probes_issued
+    assert check_snapshot_restore(scenario, restored) == []
 
 
 # -- the restore invariant ---------------------------------------------------
@@ -140,16 +179,69 @@ def test_snapshot_restore_invariant_catches_drift():
 
 def test_snapshot_restore_mismatch_raises():
     store = SnapshotStore()
-    key = probe_window_key(TINY, 6, 10.0)
+    key = window_key(TINY_FP, rounds_schedule(6, 10.0))
     scenario = Scenario(TINY)
     scenario.run_probe_rounds(2)
-    store.put(key, ScenarioSnapshot.capture(scenario, rounds=2, interval_minutes=10.0))
+    store.put(key, WindowSnapshot.capture(scenario, rounds_schedule(2, 10.0)))
     with pytest.raises(ValueError) as excinfo:
         driven_scenario(TINY, rounds=6, store=store)
-    # Triage-ready: both fingerprints and both schedules are named.
+    # Triage-ready: the fingerprint and both schedules are named.
     message = str(excinfo.value)
-    from repro.obs.manifest import fingerprint_params
+    assert TINY_FP in message
+    assert "r2:i10" in message and "r6:i10" in message
 
-    assert fingerprint_params(TINY) in message
-    assert "rounds=2" in message and "rounds=6" in message
-    assert "interval=10" in message
+
+# -- damaged state on disk ---------------------------------------------------
+
+
+def test_truncated_payload_raises_typed_error_naming_the_key(tmp_path):
+    driven_scenario(TINY, rounds=3, store=SnapshotStore(directory=tmp_path))
+    key = window_key(TINY_FP, rounds_schedule(3, 10.0))
+    (payload_path,) = tmp_path.glob("*.pkl")
+    payload_path.write_bytes(payload_path.read_bytes()[:100])
+    obs = Observability()
+    with observed(obs):
+        store = SnapshotStore(directory=tmp_path)
+        with pytest.raises(SnapshotCorruptError) as excinfo:
+            driven_scenario(TINY, rounds=3, store=store)
+    assert excinfo.value.key == key and key in str(excinfo.value)
+    assert isinstance(excinfo.value.__cause__, Exception)
+    assert obs.metrics.counter("snapshot.corrupt").value == 1
+    assert store.hits == 0  # a payload that cannot be read is not a hit
+
+
+def test_sidecar_naming_a_garbage_payload_raises_from_best_prefix(tmp_path):
+    """A fresh process discovers prefixes through ``.key`` sidecars; one
+    whose payload is garbage must fail loudly, not re-simulate."""
+    key = window_key(TINY_FP, rounds_schedule(3, 10.0))
+    writer = SnapshotStore(directory=tmp_path)
+    writer.put(key, "placeholder")
+    (payload_path,) = tmp_path.glob("*.pkl")
+    payload_path.write_bytes(b"not a pickle at all")
+    obs = Observability()
+    with observed(obs):
+        store = SnapshotStore(directory=tmp_path)
+        with pytest.raises(SnapshotCorruptError) as excinfo:
+            driven_scenario(TINY, rounds=6, store=store)
+    assert excinfo.value.key == key
+    assert obs.metrics.counter("snapshot.corrupt").value == 1
+    assert (store.prefix_hits, store.full_runs) == (0, 0)
+
+
+def test_window_payload_from_another_code_version_is_corrupt():
+    """``restore()`` meets a pickle whose class no longer imports."""
+    module = types.ModuleType("repro_removed_code_version")
+    removed = type("Removed", (), {"__module__": module.__name__})
+    module.Removed = removed
+    sys.modules[module.__name__] = module
+    try:
+        foreign = pickle.dumps(removed())
+    finally:
+        del sys.modules[module.__name__]
+    snapshot = WindowSnapshot(
+        TINY_FP, rounds_schedule(2, 10.0), sim_now=0.0, probes_issued=0, payload=foreign
+    )
+    with pytest.raises(SnapshotCorruptError) as excinfo:
+        snapshot.restore()
+    assert excinfo.value.key == snapshot.key
+    assert isinstance(excinfo.value.__cause__, ImportError)

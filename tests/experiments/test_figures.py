@@ -194,14 +194,31 @@ def test_fig8_store_paths_share_one_report(tmp_path):
 
 
 def test_fig8_packed_matches_scalar_reference():
-    from repro.experiments.fig8_interval import collect_ranks
+    """Figure 8/9's checkpoint evaluation (packed ``k=1``) picks, for
+    every client and window, the Top-1 the scalar oracle picks."""
+    from repro.core.selection import rank_scalar
+    from repro.experiments.fig8_interval import _evaluate_top1, base_orderings_for
 
-    params = ScenarioParams(
+    scenario = make_scenario(
         seed=23, dns_servers=10, planetlab_nodes=10, build_meridian=False
     )
-    packed = collect_ranks(params, 8, 20.0, 2, None, packed=True)
-    scalar = collect_ranks(params, 8, 20.0, 2, None, packed=False)
-    assert packed == scalar
+    scenario.run_probe_rounds(8, 20.0)
+    crp = scenario.crp
+    orderings = base_orderings_for(scenario)
+    for window in (None, 5):
+        ranks = {client: [] for client in scenario.client_names}
+        _evaluate_top1(scenario, window, orderings, ranks)
+        candidate_maps = crp.ratio_maps(scenario.candidate_names, window_probes=window)
+        for client in scenario.client_names:
+            client_map = crp.ratio_map(client, window_probes=window)
+            top = rank_scalar(client_map, candidate_maps)[:1] if client_map else []
+            expected = (
+                [orderings[client].index(top[0].name)]
+                if top and top[0].has_signal
+                else []
+            )
+            assert ranks[client] == expected
+        assert any(ranks.values())
 
 
 def test_fig8_report_renders_dash_for_unplottable_point():

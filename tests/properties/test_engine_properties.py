@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from repro.core import RatioMap, SmfParams, similarity, smf_cluster
 from repro.core.clustering import CenterPolicy
 from repro.core.engine import PackedPopulation
-from repro.core.selection import rank_candidates, select_top_k
+from repro.core.selection import rank_candidates, rank_scalar, select_top_k
 from repro.core.similarity import SimilarityMetric
 
 # Two deliberately overlapping-or-not pools: clients draw from "a",
@@ -62,7 +62,7 @@ def test_rank_candidates_identical_both_paths(client_counts, population, metric)
     client = RatioMap.from_counts(client_counts)
     maps = _maps(population)
     vectorized = rank_candidates(client, maps, metric)
-    scalar = rank_candidates(client, maps, metric, vectorized=False)
+    scalar = rank_scalar(client, maps, metric)
     assert [r.name for r in vectorized] == [r.name for r in scalar]
     for vec, ref in zip(vectorized, scalar):
         assert math.isclose(vec.score, ref.score, rel_tol=0.0, abs_tol=1e-12)

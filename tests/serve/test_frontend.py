@@ -222,6 +222,32 @@ def test_tcp_line_protocol_roundtrip():
 
     asyncio.run(drive())
 
+
+def test_timestampless_request_after_sync_preseed(script):
+    """Shard clocks moved by ``ShardedCRPService.apply`` before the
+    server starts must lift its request-time floor: a request with no
+    timestamp (ad-hoc TCP traffic) used to be stamped 0.0 and answered
+    ``ERR internal cannot move the clock backwards``."""
+    obs = Observability()
+    service = ShardedCRPService(serve_params(2), obs=obs)
+    preseed = script[: len(script) // 2]  # warm-up at t=0, then client arrivals
+    for op in preseed:
+        service.apply(op)
+    assert max(shard.clock.now for shard in service.shards) > 0.0
+    client = next(op.subject for op in preseed if op.verb == "POSITION")
+    server = CRPServer(service, obs=obs)
+
+    async def drive():
+        await server.start()
+        try:
+            return await server.submit(parse_request(f"POSITION {client} 3"), at=None)
+        finally:
+            await server.stop()
+
+    assert asyncio.run(drive()).startswith(f"POS {client} ")
+    assert obs.metrics.counter_value("serve.errors") == 0
+
+
 def test_approx_serving_matches_unsharded_replay(script):
     """With approximate ranking configured, the sharded asyncio path and
     the unsharded replay agree byte for byte (both route POSITION
