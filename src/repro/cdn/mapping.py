@@ -27,8 +27,8 @@ Implementation notes:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
-
+from operator import itemgetter
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.cdn.loadbalance import SelectionPolicy, select_replicas
 from repro.cdn.replica import ReplicaDeployment, ReplicaServer
@@ -38,6 +38,14 @@ from repro.netsim.topology import Host
 
 #: (replica, measured RTT in ms), best first.
 RankedReplica = Tuple[ReplicaServer, float]
+
+
+class _Pool(NamedTuple):
+    """A resolver's cached candidate pool and what is static with it."""
+
+    replicas: List[ReplicaServer]
+    #: Per replica: hosted inside one of the resolver's transit providers.
+    in_isp: List[bool]
 
 
 @dataclass(frozen=True)
@@ -96,7 +104,7 @@ class MappingSystem:
         self.deployment = deployment
         self.params = params
         self._rng = derive_rng(seed, "mapping", "selection")
-        self._pools: Dict[int, List[ReplicaServer]] = {}
+        self._pools: Dict[int, _Pool] = {}
         self._rankings: Dict[int, Tuple[int, List[RankedReplica]]] = {}
         #: (epoch, address) load bookkeeping for the current epoch only.
         self._load_epoch = -1
@@ -166,6 +174,9 @@ class MappingSystem:
         stub AS buys transit from the replica's hosting provider — the
         simulated form of Akamai's access-restricted in-ISP clusters.
         """
+        return self._pool(ldns).replicas
+
+    def _pool(self, ldns: Host) -> _Pool:
         pool = self._pools.get(ldns.host_id)
         if pool is None:
             providers = set(self.network.topology.registry.transit_providers_of(ldns.asn))
@@ -184,7 +195,8 @@ class MappingSystem:
                 eligible,
                 key=lambda r: self.network.base_rtt_ms(ldns, r.host),
             )
-            pool = by_base[: self.params.candidate_pool_size]
+            replicas = by_base[: self.params.candidate_pool_size]
+            pool = _Pool(replicas, [r.host.asn in providers for r in replicas])
             self._pools[ldns.host_id] = pool
         return pool
 
@@ -209,20 +221,24 @@ class MappingSystem:
             # Measurement backend wedged: keep serving the stale epoch.
             self.stale_rankings_served += 1
             return cached[1]
-        pool = self.candidate_pool(ldns)
-        providers = set(self.network.topology.registry.transit_providers_of(ldns.asn))
-        measured = []
-        for replica in pool:
-            # A down replica fails its measurement: the mapping routes
-            # around it from this epoch on.
-            if not self.deployment.is_up(replica.address):
-                continue
-            rtt = self.network.measure_rtt_ms(ldns, replica.host)
-            if replica.host.asn in providers:
-                rtt = max(0.1, rtt - self.params.in_isp_bonus_ms)
-            measured.append((replica, rtt))
-            self.measurements_taken += 1
-        measured.sort(key=lambda pair: pair[1])
+        pool = self._pool(ldns)
+        # A down replica fails its measurement — nothing is sampled or
+        # drawn for it — and the mapping routes around it from this
+        # epoch on.
+        is_up = self.deployment.is_up
+        live = [
+            (replica, in_isp)
+            for replica, in_isp in zip(pool.replicas, pool.in_isp)
+            if is_up(replica.address)
+        ]
+        rtts = self.network.measure_rtts_ms(ldns, [replica.host for replica, _ in live])
+        bonus = self.params.in_isp_bonus_ms
+        measured = [
+            (replica, max(0.1, rtt - bonus) if in_isp else rtt)
+            for (replica, in_isp), rtt in zip(live, rtts)
+        ]
+        self.measurements_taken += len(measured)
+        measured.sort(key=itemgetter(1))
         self._rankings[ldns.host_id] = (epoch, measured)
         return measured
 

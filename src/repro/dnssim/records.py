@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Tuple
 
 
@@ -24,10 +25,14 @@ class Rcode(str, Enum):
     REFUSED = "REFUSED"
 
 
+@lru_cache(maxsize=4096)
 def normalize_name(name: str) -> str:
     """Canonical form of a DNS name: lowercase, no trailing dot.
 
-    Raises ``ValueError`` for empty names or empty labels.
+    Raises ``ValueError`` for empty names or empty labels.  Memoised
+    with a fixed bound: one resolve canonicalises the same few names
+    about nine times over (question, zone walk, per zone, per record),
+    and a raise is never cached, so bad names fail at every call site.
     """
     cleaned = name.strip().lower().rstrip(".")
     if not cleaned:

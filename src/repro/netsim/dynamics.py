@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -33,6 +33,10 @@ from repro.netsim.topology import Host
 from repro.netsim.world import Region
 
 SECONDS_PER_DAY = 86400.0
+
+#: Diurnal load peaks at local ~20:00: shift the cosine so its max
+#: lands there.
+_DIURNAL_PEAK_SHIFT = 2.0 * math.pi * (20.0 / 24.0)
 
 
 class OrnsteinUhlenbeck:
@@ -203,18 +207,45 @@ class CongestionField:
     def _diurnal_ms(self, host: Host, t: float) -> float:
         """Sinusoidal load peaking in the host's local evening."""
         local_phase = (t / SECONDS_PER_DAY + host.location.lon / 360.0) * 2.0 * math.pi
-        # Peak at local ~20:00: shift so the max lands there.
-        peak_shift = 2.0 * math.pi * (20.0 / 24.0)
-        swing = math.cos(local_phase - peak_shift)
+        swing = math.cos(local_phase - _DIURNAL_PEAK_SHIFT)
         return 0.5 * self.params.diurnal_amplitude_ms * (1.0 + swing)
 
     def congestion_ms(self, a: Host, b: Host, t: float) -> float:
         """Extra RTT from congestion on the (a, b) path at time ``t``."""
-        regional = self._regional_process(a.region, b.region).sample(t)
+        return self.congestion_row_ms(a, (b,), t)[0]
+
+    def congestion_row_ms(self, a: Host, others: Sequence[Host], t: float) -> List[float]:
+        """``congestion_ms(a, b, t)`` for every ``b`` in ``others``, in order.
+
+        What depends only on ``(a, t)`` — ``a``'s load, diurnal term and
+        surge, the regional process per destination region — is worked
+        out once for the row.  Every process keeps its own generator, so
+        a row leaves each of them exactly where the same pairs asked one
+        by one would.
+        """
         host_a = self._host_process(a).sample(t)
-        host_b = self._host_process(b).sample(t)
-        diurnal = 0.5 * (self._diurnal_ms(a, t) + self._diurnal_ms(b, t))
-        total = max(0.0, regional + host_a + host_b + diurnal)
-        if self._surges:
-            total += self.surge_ms(a, t) + self.surge_ms(b, t)
-        return total
+        diurnal_a = self._diurnal_ms(a, t)
+        surged = bool(self._surges)
+        surge_a = self.surge_ms(a, t) if surged else 0.0
+        region_a = a.region
+        per_host = self._per_host
+        diurnal_ms = self._diurnal_ms
+        #: destination region -> (regional sample, surge on that region)
+        per_region: Dict[Region, Tuple[float, float]] = {}
+        row = []
+        for b in others:
+            region_b = b.metro.region
+            shared = per_region.get(region_b)
+            if shared is None:
+                shared = per_region[region_b] = (
+                    self._regional_process(region_a, region_b).sample(t),
+                    self.surge_ms(b, t) if surged else 0.0,
+                )
+            regional, surge_b = shared
+            host_b = (per_host.get(b.host_id) or self._host_process(b)).sample(t)
+            diurnal = 0.5 * (diurnal_a + diurnal_ms(b, t))
+            total = max(0.0, regional + host_a + host_b + diurnal)
+            if surged:
+                total += surge_a + surge_b
+            row.append(total)
+        return row

@@ -11,8 +11,7 @@ or King measurement would).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
-
+from typing import List, Optional, Sequence
 
 from repro.netsim.clock import SimClock
 from repro.netsim.dynamics import CongestionField, CongestionParams
@@ -82,16 +81,36 @@ class Network:
         transient queueing spike.  Never returns less than the model
         floor.
         """
-        true_rtt = self.rtt_ms(a, b)
-        if a.host_id == b.host_id:
-            return 0.0
+        return self.measure_rtts_ms(a, (b,))[0]
+
+    def measure_rtts_ms(self, a: Host, others: Sequence[Host]) -> List[float]:
+        """One noisy sample from ``a`` to each of ``others``, in order.
+
+        The order of draws on the measurement generator is contract
+        (DESIGN §6): per host ``lognormal``, ``random`` and, only on a
+        spike, ``uniform``.  ``a`` itself measures 0.0 and draws nothing.
+        """
+        apart = [b for b in others if b.host_id != a.host_id]
+        if not apart:
+            return [0.0] * len(others)
+        congestion = self.congestion.congestion_row_ms(a, apart, self.clock.now)
         params = self.measurement_params
-        jitter = float(self._measure_rng.lognormal(0.0, params.jitter_sigma))
-        sample = true_rtt * jitter
-        if self._measure_rng.random() < params.spike_probability:
-            lo, hi = params.spike_fraction_range
-            sample += true_rtt * float(self._measure_rng.uniform(lo, hi))
-        return max(sample, self.latency.params.floor_ms)
+        sigma = params.jitter_sigma
+        spike_probability = params.spike_probability
+        floor_ms = self.latency.params.floor_ms
+        rng = self._measure_rng
+        samples = []
+        for b, extra in zip(apart, congestion):
+            true_rtt = self.base_rtt_ms(a, b) + extra
+            sample = true_rtt * float(rng.lognormal(0.0, sigma))
+            if rng.random() < spike_probability:
+                lo, hi = params.spike_fraction_range
+                sample += true_rtt * float(rng.uniform(lo, hi))
+            samples.append(max(sample, floor_ms))
+        if len(apart) < len(others):
+            rest = iter(samples)
+            samples = [0.0 if b.host_id == a.host_id else next(rest) for b in others]
+        return samples
 
     def measure_rtt_median_ms(self, a: Host, b: Host, samples: int = 3) -> float:
         """Median of several samples — the usual spike-resistant probe."""

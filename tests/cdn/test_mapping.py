@@ -2,8 +2,9 @@ import pytest
 
 from repro.cdn import MappingParams, MappingSystem
 from repro.cdn.loadbalance import SelectionPolicy
-from repro.cdn.replica import ReplicaDeployment, deploy_replicas
+from repro.cdn.replica import ReplicaDeployment, ReplicaServer, deploy_replicas
 from repro.netsim import HostKind, Network, SimClock
+from repro.netsim.dynamics import RegionalSurge
 
 
 @pytest.fixture()
@@ -303,3 +304,49 @@ def test_mid_freeze_deployment_change_is_hidden_until_thaw(mapping_setup):
     assert mapping.stale_rankings_served == 1
     mapping.frozen = False
     assert best.address not in {r.address for r, _ in mapping.ranking(client)}
+
+
+def test_down_replica_mid_pool_is_neither_sampled_nor_drawn_for(mapping_setup, topology):
+    mapping, client, _, network, deployment = mapping_setup
+    pool = mapping.candidate_pool(client)
+    down = pool[len(pool) // 2]
+    deployment.fail(down.address)
+    ranking = mapping.ranking(client)
+
+    # The same measurements, pair by pair, on a twin network.
+    twin = Network(topology, SimClock(), seed=21)
+    providers = set(topology.registry.transit_providers_of(client.asn))
+    bonus = mapping.params.in_isp_bonus_ms
+    expected = []
+    for replica in pool:
+        if replica is down:
+            continue
+        rtt = twin.measure_rtt_ms(client, replica.host)
+        if replica.host.asn in providers:
+            rtt = max(0.1, rtt - bonus)
+        expected.append((replica, rtt))
+    expected.sort(key=lambda pair: pair[1])
+    assert ranking == expected
+    assert mapping.measurements_taken == len(pool) - 1
+    assert network._measure_rng.random() == twin._measure_rng.random()
+    assert down.host.host_id not in network.congestion._per_host
+
+
+def test_select_answers_under_a_partition_sized_surge(topology, host_rng):
+    # One replica this side of a 5 s surge: softmax weights of the rest
+    # underflow to 0.0, which used to raise out of the DNS answer.
+    world = topology.world
+    network = Network(topology, SimClock(), seed=21)
+    deployment = ReplicaDeployment()
+    for i, metro in enumerate(("london", "new-york", "chicago", "new-york")):
+        host = topology.create_host(f"edge-{i}", HostKind.REPLICA, world.metro(metro), host_rng)
+        deployment.add(ReplicaServer(host, f"172.0.0.{i}"))
+    mapping = MappingSystem(network, deployment, seed=21)
+    client = topology.create_host(
+        "client-london", HostKind.DNS_SERVER, world.metro("london"), host_rng
+    )
+    network.congestion.add_surge(RegionalSurge("north-america", 5000.0, 0.0, 3600.0))
+    answer = mapping.select(client)
+    ranking = mapping.ranking(client)
+    assert ranking[1][1] - ranking[0][1] > 4000.0
+    assert answer == [replica for replica, _ in ranking[:2]]

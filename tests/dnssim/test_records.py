@@ -1,6 +1,7 @@
 import pytest
 
 from repro.dnssim import (
+    DnsInfrastructure,
     DnsResponse,
     Question,
     Rcode,
@@ -25,6 +26,25 @@ def test_normalize_rejects_empty():
 def test_normalize_rejects_empty_labels():
     with pytest.raises(ValueError):
         normalize_name("a..b")
+
+
+def test_normalize_memo_is_bounded_and_never_caches_a_raise():
+    for _ in range(2):  # the second round would hit a cached failure
+        for bad in ("", ".", "a..b"):
+            with pytest.raises(ValueError):
+                normalize_name(bad)
+            with pytest.raises(ValueError):
+                Question(bad)
+            with pytest.raises(ValueError):
+                ResourceRecord(bad, RecordType.A, "10.0.0.1", ttl=20.0)
+            with pytest.raises(ValueError):
+                name_under_zone(bad, "example.com")
+            with pytest.raises(ValueError):
+                DnsInfrastructure().authoritative_for(bad)
+    bound = normalize_name.cache_info().maxsize
+    for i in range(bound + 50):
+        assert normalize_name(f"Busting-{i}.Example.com.") == f"busting-{i}.example.com"
+    assert normalize_name.cache_info().currsize == bound
 
 
 def test_name_under_zone_exact_match():
