@@ -50,7 +50,6 @@ from repro.core.clustering import SmfParams, smf_cluster
 from repro.core.engine import packed_for
 from repro.core.selection import rank_candidates, rank_packed, rank_scalar, select_top_k
 from repro.core.service import ProbePolicy
-from repro.core.similarity import SimilarityMetric
 from repro.faults import ChaosParams
 from repro.obs import NOOP, get_observability
 from repro.workloads.scenario import Scenario, ScenarioParams
@@ -483,54 +482,48 @@ def ann_exact_mode_pair(
     Pre-existing callers ranked the whole population, filtered the
     excluded name, and sliced ``[:k]``; the k-aware path (exclusion
     applied *before* the cutoff) must reproduce that byte for byte —
-    same names, same float scores, zero tolerance — so turning the
-    fast path on cannot change any exact-mode answer.  The excluded
+    same names, same float scores, zero tolerance — which is what lets
+    every exact-mode ``POSITION`` honour its ``k``.  The excluded
     name is each query's global Top-1, making the exclusion actually
-    bite on every query.
+    bite on every query.  Both sides run at ``population`` (Top-K by
+    full sort and slice) and at twice the engine's crossover (Top-K by
+    partition), so neither branch of ``top_k_indices`` goes unchecked.
     """
-    from repro.core.engine import PackedPopulation
-    from repro.core.selection import rank_packed
+    from repro.core import engine
     from repro.experiments.ann import synthetic_candidates, synthetic_queries
 
-    state: Dict[str, object] = {}
+    sizes = (population, 2 * engine._TOP_K_FULL_SORT_ROWS)
+    state: Dict[int, Tuple[object, List[object]]] = {}
 
-    def built() -> Tuple[object, List[object]]:
-        if "packed" not in state:
-            maps, _ = synthetic_candidates(population, seed)
-            state["packed"] = PackedPopulation(maps)
-            state["queries"] = synthetic_queries(maps, queries, seed)
-        return state["packed"], state["queries"]  # type: ignore[return-value]
+    def built(size: int) -> Tuple[object, List[object]]:
+        if size not in state:
+            maps, _ = synthetic_candidates(size, seed)
+            state[size] = (
+                engine.PackedPopulation(maps),
+                synthetic_queries(maps, queries, seed),
+            )
+        return state[size]
 
-    def fields_of(ranked) -> Tuple[Tuple[str, ...], Tuple[float, ...]]:
-        return tuple(r.name for r in ranked), tuple(r.score for r in ranked)
-
-    def legacy_side() -> Dict[str, object]:
-        packed, query_maps = built()
+    def side(fast: bool) -> Dict[str, object]:
         fields: Dict[str, object] = {}
-        for i, query in enumerate(query_maps):
-            full = rank_packed(query, packed)
-            excluded = full[0].name
-            survivors = [r for r in full if r.name != excluded][:k]
-            names, scores = fields_of(survivors)
-            fields[f"q{i:03d}.excluded"] = excluded
-            fields[f"q{i:03d}.names"] = names
-            fields[f"q{i:03d}.scores"] = scores
-        return fields
-
-    def fast_side() -> Dict[str, object]:
-        packed, query_maps = built()
-        fields: Dict[str, object] = {}
-        for i, query in enumerate(query_maps):
-            excluded = rank_packed(query, packed)[0].name
-            ranked = rank_packed(query, packed, k=k, exclude=excluded)
-            names, scores = fields_of(ranked)
-            fields[f"q{i:03d}.excluded"] = excluded
-            fields[f"q{i:03d}.names"] = names
-            fields[f"q{i:03d}.scores"] = scores
+        for size in sizes:
+            packed, query_maps = built(size)
+            for i, query in enumerate(query_maps):
+                full = rank_packed(query, packed)
+                excluded = full[0].name
+                if fast:
+                    ranked = rank_packed(query, packed, k=k, exclude=excluded)
+                else:
+                    ranked = [r for r in full if r.name != excluded][:k]
+                fields[f"n{size}.q{i:03d}.excluded"] = excluded
+                fields[f"n{size}.q{i:03d}.names"] = tuple(r.name for r in ranked)
+                fields[f"n{size}.q{i:03d}.scores"] = tuple(r.score for r in ranked)
         return fields
 
     return DifferentialPair(
-        name="ann-exact-mode-identity", left=legacy_side, right=fast_side
+        name="ann-exact-mode-identity",
+        left=lambda: side(fast=False),
+        right=lambda: side(fast=True),
     )
 
 

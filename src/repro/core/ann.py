@@ -498,7 +498,7 @@ def approx_top_k(
         (view.row_of[name] for name in names), dtype=np.int64, count=len(names)
     )
     scores = population.scores_rows(client_map, rows, metric)
-    order = np.lexsort((view.names_arr[rows], -scores))[:k]
+    order = np.lexsort((view.name_rank[rows], -scores))[:k]
     from repro.core.selection import _build_ranked
 
     return _build_ranked(names, scores.tolist(), order.tolist())

@@ -9,7 +9,8 @@ evaluation reports both the Top-1 pick and the average over the Top-5
 Every public entry point — :func:`rank_candidates`,
 :func:`select_top_k`, :func:`rank_packed` — is the same query over a
 :class:`~repro.core.engine.PackedPopulation`: one sparse matvec plus an
-argsort (``argpartition`` for Top-K, the sketch index for approximate
+argsort (for Top-K, only of the rows that can reach the prefix, and
+only ``k`` result rows are built; the sketch index for approximate
 Top-K), memoised on the population.  :func:`rank_scalar` is the
 reference they are checked against — one scalar
 :func:`~repro.core.similarity.similarity` per candidate; it produces
@@ -115,13 +116,20 @@ def _rank(
     else:
         scores = population.scores(client_map, metric)
         dropping = exclude is not None and exclude in population
+        names = population.names
         if k is None:
             order = population.ranked_indices(scores)
+            result = _build_ranked(names, scores.tolist(), order.tolist())
         else:
             # Exclusion before cutoff: fetch one spare row when the
-            # excluded name could land inside the slice.
+            # excluded name could land inside the slice.  Only these
+            # rows' scores and names become Python objects, so what a
+            # Top-K query allocates (and memoises) follows k.
             order = population.top_k_indices(scores, k + 1 if dropping else k)
-        result = _build_ranked(population.names, scores.tolist(), order.tolist())
+            result = [
+                RankedCandidate(names[i], score)
+                for i, score in zip(order.tolist(), scores[order].tolist())
+            ]
         if dropping:
             result = [c for c in result if c.name != exclude][:k]
     memo[memo_key] = (client_map, result)
@@ -164,8 +172,10 @@ def rank_packed(
     cutoff, so asking for ``k`` rows yields ``k`` even when the
     excluded name would have landed inside the slice.
 
-    ``k`` keeps only the best ``k`` rows (``argpartition`` instead of a
-    full sort — same rows as the full ranking's prefix).  ``approx``
+    ``k`` keeps only the best ``k`` rows — the full ranking's prefix,
+    names, scores and ties alike — and only those rows are sorted past
+    a partition, materialised and memoised, so the cost beyond the
+    matvec follows ``k``, not the population.  ``approx``
     (an :class:`~repro.core.ann.AnnParams`) additionally routes a
     ``k``-query through the sketch index's shortlist + exact rerank —
     sublinear, with true scores; it is ignored without ``k``, since a
@@ -189,8 +199,9 @@ def select_top_k(
 ) -> List[RankedCandidate]:
     """The best ``k`` candidates (the paper's "Top 5" uses k=5).
 
-    An ``argpartition`` rather than a full sort — with the same output
-    as ``rank_candidates(...)[:k]``, ties and all.  Passing ``approx``
+    The same output as ``rank_candidates(...)[:k]``, ties and all,
+    building only those ``k`` rows (see :func:`rank_packed`).  Passing
+    ``approx``
     (an :class:`~repro.core.ann.AnnParams`) routes the query through
     the sketch index instead — shortlist gather + exact rerank,
     sublinear in the candidate count, with identical output whenever

@@ -810,8 +810,8 @@ class CRPService:
         window_probes: Optional[int],
         k: Optional[int] = None,
     ) -> List[RankedCandidate]:
-        """Rank ``candidates`` (never the client itself) for a client;
-        ``k`` only takes effect in approximate mode (see :meth:`position`)."""
+        """Rank ``candidates`` (never the client itself) for a client —
+        the best ``k`` of them, or all without ``k``."""
         tracked = self._tracked_candidates
         if tracked is not None and (
             candidates is tracked or tuple(candidates) == tracked
@@ -829,10 +829,9 @@ class CRPService:
                 }
             )
             exclude = None
-        ann = self.params.ann
         return rank_packed(
             client_map, population, self.params.metric,
-            exclude=exclude, k=k if ann is not None else None, approx=ann,
+            exclude=exclude, k=k, approx=self.params.ann,
         )
 
     def position(
@@ -851,12 +850,11 @@ class CRPService:
         the ranking, whether a stale fallback was used, and a scalar
         confidence composing the two.
 
-        ``k`` only takes effect when the service was configured with
-        :attr:`CRPServiceParams.ann`: the answer then carries the best
-        ``k`` rows via the sketch shortlist + exact rerank instead of
-        a full ranking.  Without ``ann`` the argument is ignored, so
-        exact-mode answers are byte-identical whatever the caller
-        passes.
+        With ``k`` the answer carries only the best ``k`` rows: in
+        exact mode byte for byte the full ranking's prefix (and only
+        those rows are built), with :attr:`CRPServiceParams.ann` the
+        sketch shortlist's exact rerank.  Without ``k`` it carries the
+        full ranking.  The metadata never depends on ``k``.
         """
         if client not in self._resolvers:
             raise UnknownNodeError(client)

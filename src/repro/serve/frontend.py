@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import asyncio
 from time import perf_counter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.core.service import CRPService
 from repro.netsim.clock import SimClock
@@ -86,8 +86,9 @@ class ShardedCRPService:
                 )
             return "OK"
         if op.verb == "POSITION":
-            answer = self.shard_for(op.subject).position(op.at, op.subject, op.k)
-            return format_answer(answer, op.k if op.k is not None else self.params.top_k)
+            return format_answer(
+                self.shard_for(op.subject).position(op.at, op.subject, op.k)
+            )
         raise ValueError(f"unknown op verb {op.verb!r}")
 
     def replay(self, ops: Sequence[Op]) -> List[str]:
@@ -238,7 +239,6 @@ class CRPServer:
     async def _worker(self, index: int) -> None:
         queue = self._queues[index]
         shard = self.service.shards[index]
-        top_k = self.service.params.top_k
         while True:
             item = await queue.get()
             if item is _STOP:
@@ -248,8 +248,9 @@ class CRPServer:
             started = perf_counter()
             try:
                 if kind == _POSITION:
-                    answer = shard.position(op.at, op.subject, op.k)
-                    response = format_answer(answer, op.k if op.k is not None else top_k)
+                    response = format_answer(
+                        shard.position(op.at, op.subject, op.k)
+                    )
                 elif kind == _CANDIDATE:
                     shard.observe_candidate(op.at, op.subject, op.name, op.addresses)
                     response = "OK"
@@ -303,14 +304,13 @@ class CRPServer:
         async def handle(reader: asyncio.StreamReader, writer: asyncio.StreamWriter):
             try:
                 while True:
-                    line = await reader.readline()
-                    if not line:
-                        break
-                    text = line.decode("utf-8", errors="replace").strip()
-                    if not text:
-                        continue
                     request = None
                     try:
+                        text = await _read_request_line(reader)
+                        if text is None:
+                            break
+                        if not text:
+                            continue
                         request = parse_request(text)
                         response = await self.submit(request)
                     except ProtocolError as error:
@@ -323,6 +323,35 @@ class CRPServer:
                 writer.close()
 
         return await asyncio.start_server(handle, host=host, port=port)
+
+
+async def _read_request_line(reader: asyncio.StreamReader) -> Optional[str]:
+    """The next request line, stripped; None at end of stream.
+
+    Raises :class:`ProtocolError` — one ``ERR`` for one request, with
+    the connection still in step — for a line longer than the reader's
+    buffer limit, once all of it has been discarded up to its newline,
+    and for bytes that are not UTF-8: replacing them would answer (and
+    register a tracker for) a client nobody named.
+    """
+    overlong = False
+    while True:
+        try:
+            line = await reader.readuntil(b"\n")
+        except asyncio.IncompleteReadError as end:
+            line = end.partial
+        except asyncio.LimitOverrunError as over:
+            await reader.readexactly(over.consumed)
+            overlong = True
+            continue
+        if overlong:
+            raise ProtocolError("args", "line too long")
+        if not line:
+            return None
+        try:
+            return line.decode("utf-8").strip()
+        except UnicodeDecodeError:
+            raise ProtocolError("encoding", "request line is not valid UTF-8")
 
 
 async def run_script(server: CRPServer, ops: Sequence[Op]) -> List[str]:
@@ -378,16 +407,10 @@ def replay_unsharded(
         elif op.verb == "POSITION":
             if not service.is_registered(op.subject):
                 service.register_node(op.subject, None)
-            # Mirror ShardWorker.position's k resolution exactly so the
-            # approx-mode reference stays comparable byte for byte.
-            if params.approx is not None:
-                k_eff = op.k if op.k is not None else params.top_k
-            else:
-                k_eff = None
-            answer = service.position(op.subject, params.candidates, k=k_eff)
-            answers.append(
-                format_answer(answer, op.k if op.k is not None else params.top_k)
+            answer = service.position(
+                op.subject, params.candidates, k=params.rows_for(op.k)
             )
+            answers.append(format_answer(answer))
         else:
             raise ValueError(f"unknown op verb {op.verb!r}")
     return answers

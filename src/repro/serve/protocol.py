@@ -120,9 +120,11 @@ def _fmt_float(value: float) -> str:
 def format_answer(answer, k: Optional[int] = None) -> str:
     """A :class:`~repro.core.service.PositioningAnswer` as one line.
 
-    ``k`` trims the ranking in the response only — the full ranking is
-    still computed (identically on both the sharded and unsharded
-    paths), so trimming can never change scores or order.
+    The serving path passes no ``k``: a shard's answer already carries
+    exactly the rows the request is owed
+    (:meth:`~repro.serve.shard.ServeParams.rows_for`).  ``k`` renders a
+    prefix of a longer answer — a batch ``position()`` without ``k``
+    holds the full ranking — and cannot change scores or order.
     """
     ranked = answer.ranked if k is None else answer.top(k)
     body = ",".join(f"{c.name}:{_fmt_float(c.score)}" for c in ranked)

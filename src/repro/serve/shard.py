@@ -81,6 +81,12 @@ class ServeParams:
         if self.top_k < 1:
             raise ValueError("top_k must be at least 1")
 
+    def rows_for(self, k: Optional[int]) -> int:
+        """The ranking length a POSITION gets: the ``k`` it names, else
+        the configured ``top_k`` — the one rule the shards and the
+        unsharded reference share, exact and approximate alike."""
+        return k if k is not None else self.top_k
+
     def service_params(self) -> CRPServiceParams:
         """The per-shard :class:`CRPServiceParams` this config implies.
 
@@ -221,21 +227,16 @@ class ShardWorker:
     ) -> PositioningAnswer:
         """Answer one POSITION query at a request timestamp.
 
-        With ``approx`` configured, the requested ``k`` (or the
-        configured ``top_k`` when the request names none) bounds the
-        ranking through the sketch index; in exact mode ``k`` is
-        ignored here and the front end trims the full ranking instead,
-        so exact-mode answers stay byte-identical to the pre-approx
-        serving path.
+        The answer carries :meth:`ServeParams.rows_for` ``(k)`` rows —
+        the service ranks, builds and returns that many and no more, so
+        the front end formats it as it stands.
         """
         self.clock.advance_to(at)
         self._touch(client)
         self.positions += 1
-        if self.params.approx is not None:
-            k_eff: Optional[int] = k if k is not None else self.params.top_k
-        else:
-            k_eff = None
-        return self.service.position(client, self.params.candidates, k=k_eff)
+        return self.service.position(
+            client, self.params.candidates, k=self.params.rows_for(k)
+        )
 
     # -- admin --------------------------------------------------------------
 

@@ -698,3 +698,42 @@ def test_unregister_tracked_candidate_shrinks_population(service_world):
     assert service.tracked_candidates == ("n-london", "n-new-york")
     answer = service.position("n-boston", service.tracked_candidates)
     assert {r.name for r in answer.ranked} <= {"n-london", "n-new-york"}
+
+
+def test_position_k_is_the_full_rankings_prefix_with_the_same_metadata():
+    """Exact mode honours ``k``: the rows are the full ranking's prefix
+    and nothing else about the answer moves."""
+    clock = SimClock()
+    service = CRPService(clock, CRPServiceParams(customer_names=NAMES))
+    candidates = tuple(f"cand-{i}" for i in range(8))
+    for i, name in enumerate(candidates + ("client", "dark")):
+        service.register_node(name, None)
+        service.observe(name, NAMES[0], (f"replica-{i % 3}", f"replica-{(i + 1) % 4}"))
+    service.track_candidates(candidates)
+    clock.advance(60.0)
+
+    def top_and_full(client, k):
+        full = service.position(client, candidates)
+        top = service.position(client, candidates, k=k)
+        assert top.ranked == full.ranked[:k]
+        assert (top.stale, top.confidence, top.map_age_s, top.client_state) == (
+            full.stale, full.confidence, full.map_age_s, full.client_state
+        )
+        return top, full
+
+    top, full = top_and_full("client", 5)
+    assert len(top.ranked) == 5 and len(full.ranked) == 8
+    # A tracked candidate asking about itself: excluded before the cut.
+    top, full = top_and_full("cand-2", 5)
+    assert len(top.ranked) == 5 and len(full.ranked) == 7
+    assert "cand-2" not in [r.name for r in top.ranked]
+    # k past the population returns what there is.
+    assert len(top_and_full("client", 11)[0].ranked) == 8
+    assert len(top_and_full("cand-2", 11)[0].ranked) == 7
+    # Served from the last good map once the window goes dark.
+    service.position("dark", candidates)
+    tracker = service.tracker("dark")
+    tracker._log.clear()
+    tracker.version += 1
+    top, _ = top_and_full("dark", 5)
+    assert top.stale and len(top.ranked) == 5

@@ -3,15 +3,20 @@
 The contract under test: ``select_top_k(k)`` is exactly
 ``rank_candidates()[:k]`` — same names, same scores, same tie-breaks —
 for every metric, through memo hits and misses, and across population
-churn (which must invalidate the memo).
+churn (which must invalidate the memo); and the same for
+``rank_packed(k=, exclude=)`` on both sides of the engine's
+full-sort / partition crossover.
 """
 
+from unittest import mock
+
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import RatioMap, rank_candidates, select_top_k
-from repro.core.engine import clear_pack_cache, packed_for
-from repro.core.selection import rank_scalar
+from repro.core import RatioMap, engine, rank_candidates, select_top_k
+from repro.core.engine import PackedPopulation, clear_pack_cache, packed_for
+from repro.core.selection import rank_packed, rank_scalar
 from repro.core.similarity import SimilarityMetric
 
 replica_names = st.sampled_from([f"r{i}" for i in range(8)])
@@ -46,6 +51,77 @@ def test_prefix_property_survives_memo_hits(population, client, k, metric):
     assert first_top == first_rank[:k]
     assert rank_candidates(client_map, maps, metric) == first_rank
     assert select_top_k(client_map, maps, k, metric) == first_top
+
+
+#: The crossover patched low, so a dozen rows straddle it (building the
+#: real constant's worth of rows per example would only test numpy).
+LOW_CROSSOVER = 6
+
+#: Few distinct maps over many candidates: whole groups tie at one
+#: positive score (so the k-th score is usually shared), and every
+#: candidate without an "a"/"b" replica ties at 0.0.
+SHAPES = [{"a": 1}, {"a": 1, "b": 1}, {"a": 3, "b": 1}, {"b": 1}, {"c": 1}, {"c": 1, "d": 2}]
+CLIENTS = [{"a": 1}, {"a": 1, "b": 2}, {"b": 5, "c": 1}, {"e": 1}]  # the last: all zeros
+
+
+@st.composite
+def tied_populations(draw):
+    shapes = draw(st.lists(st.sampled_from(SHAPES), min_size=2, max_size=14))
+    # Row order is insertion order; shuffled labels keep it from being
+    # name order, which the integer name ranks must not depend on.
+    labels = draw(
+        st.lists(st.integers(0, 99), unique=True, min_size=len(shapes), max_size=len(shapes))
+    )
+    return {f"n{label:02d}": RatioMap.from_counts(c) for label, c in zip(labels, shapes)}
+
+
+@given(
+    maps=tied_populations(),
+    client=st.sampled_from(CLIENTS),
+    metric=metrics,
+    k_choice=st.sampled_from(["one", "n-1", "n", "n+1"]),
+    exclude_choice=st.sampled_from(["absent", "unknown", "inside", "outside"]),
+)
+@settings(max_examples=200, deadline=None)
+def test_rank_packed_k_is_filtered_prefix_across_the_crossover(
+    maps, client, metric, k_choice, exclude_choice
+):
+    n = len(maps)
+    k = {"one": 1, "n-1": n - 1, "n": n, "n+1": n + 1}[k_choice]
+    client_map = RatioMap.from_counts(client)
+    population = PackedPopulation(maps)
+    full = rank_packed(client_map, population, metric)
+    exclude = {
+        "absent": None,
+        "unknown": "ghost",
+        "inside": full[0].name,
+        "outside": full[-1].name,
+    }[exclude_choice]
+    expected = [c for c in full if c.name != exclude][:k]
+    with mock.patch.object(engine, "_TOP_K_FULL_SORT_ROWS", LOW_CROSSOVER):
+        got = rank_packed(client_map, population, metric, k=k, exclude=exclude)
+    # Tuple equality: names and float scores, bit for bit.
+    assert got == expected
+    # The repeat is a memo hit (scoring again would raise) with equal rows.
+    with mock.patch.object(population, "scores", side_effect=AssertionError("rescored")):
+        assert rank_packed(client_map, population, metric, k=k, exclude=exclude) == got
+
+
+@given(
+    scores=st.lists(st.sampled_from([0.0, 0.0, 0.25, 0.5, 1.0]), min_size=2, max_size=40),
+    k=st.integers(1, 41),
+)
+@settings(max_examples=200, deadline=None)
+def test_top_k_indices_is_ranked_prefix_across_the_crossover(scores, k):
+    # Names descend with row order, so the tie-break reverses rows.
+    population = PackedPopulation(
+        {f"n{len(scores) - i:02d}": RatioMap.from_counts({"a": 1}) for i in range(len(scores))}
+    )
+    scores = np.array(scores)
+    prefix = population.ranked_indices(scores)[:k].tolist()
+    for crossover in (0, 8, 10**6):
+        with mock.patch.object(engine, "_TOP_K_FULL_SORT_ROWS", crossover):
+            assert population.top_k_indices(scores, k).tolist() == prefix
 
 
 def _maps(entries):

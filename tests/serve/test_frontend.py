@@ -53,6 +53,29 @@ def test_sync_replay_matches_unsharded(script, reference, shards):
     assert fingerprint_answers(answers) == reference
 
 
+def test_mixed_k_replay_matches_unsharded(script):
+    """The loadgen only ever asks for ``top_k`` rows; vary ``k`` per
+    request — absent, 1, ``top_k``, more than there are candidates —
+    and the shards still answer byte for byte like the reference, each
+    with the number of rows :meth:`ServeParams.rows_for` owes it."""
+    ks = [None, 1, LPARAMS.top_k, LPARAMS.candidates + 3]
+    mixed, asked = [], []
+    for op in script:
+        if op.verb == "POSITION":
+            op = op._replace(k=ks[len(asked) % len(ks)])
+            asked.append(op.k)
+        mixed.append(op)
+    sparams = serve_params(3)
+    answers = ShardedCRPService(sparams).replay(mixed)
+    assert answers == replay_unsharded(sparams, mixed)
+    rows = [
+        len(line.rsplit("ranked=", 1)[1].split(",")) if not line.endswith("ranked=") else 0
+        for line in answers
+    ]
+    assert all(n <= sparams.rows_for(k) for n, k in zip(rows, asked))
+    assert {1, LPARAMS.top_k, LPARAMS.candidates} <= set(rows)
+
+
 def test_async_server_matches_unsharded(script, reference):
     service = ShardedCRPService(serve_params(4))
     answers = asyncio.run(run_script(CRPServer(service), script))
@@ -221,6 +244,91 @@ def test_tcp_line_protocol_roundtrip():
         await server.stop()
 
     asyncio.run(drive())
+
+
+def _tcp_exchange(server, payload, closing=b"SHUTDOWN\n"):
+    """Send raw bytes down one loopback connection, then ``closing``
+    and end-of-stream; return every response line, what a second connection's PING got,
+    and any exception the event loop had to report itself."""
+    unhandled = []
+
+    async def drive():
+        asyncio.get_running_loop().set_exception_handler(
+            lambda loop, context: unhandled.append(context)
+        )
+        await server.start()
+        tcp = await server.serve_tcp()
+        port = tcp.sockets[0].getsockname()[1]
+        reader, writer = await asyncio.open_connection("127.0.0.1", port)
+        writer.write(payload + closing)
+        writer.write_eof()
+        await writer.drain()
+        lines = (await asyncio.wait_for(reader.read(), timeout=10.0)).decode().splitlines()
+        writer.close()
+        reader, writer = await asyncio.open_connection("127.0.0.1", port)
+        writer.write(b"PING\n")
+        await writer.drain()
+        second = (await asyncio.wait_for(reader.readline(), timeout=10.0)).decode().strip()
+        writer.close()
+        tcp.close()
+        await tcp.wait_closed()
+        await server.stop()
+        return lines, second
+
+    lines, second = asyncio.run(drive())
+    return lines, second, unhandled
+
+
+@pytest.mark.parametrize(
+    "long_line",
+    [
+        b"POSITION " + b"x" * 70000 + b"\n",  # newline already buffered
+        b"POSITION " + b"x" * 300000 + b"\n",  # several buffers long
+    ],
+    ids=["one-buffer", "several-buffers"],
+)
+def test_tcp_overlong_line_gets_one_error_and_the_connection_goes_on(long_line):
+    """``readline`` used to raise ``ValueError`` outside the handler's
+    ``try``: no answer, the pipelined PING dropped, and asyncio logging
+    an unhandled exception in ``client_connected_cb``."""
+    obs = Observability()
+    service = ShardedCRPService(serve_params(2), obs=obs)
+    lines, second, unhandled = _tcp_exchange(
+        CRPServer(service, obs=obs), b"PING\n" + long_line + b"PING\n"
+    )
+    assert lines == ["PONG", "ERR args line too long", "PONG", "OK draining"]
+    assert second == "PONG"
+    assert unhandled == []
+    assert service.stats()["clients"] == 0
+
+
+def test_tcp_overlong_line_cut_off_by_eof_still_gets_its_error():
+    service = ShardedCRPService(serve_params(1))
+    lines, second, unhandled = _tcp_exchange(
+        CRPServer(service), b"POSITION " + b"x" * 70000, closing=b""
+    )
+    assert lines == ["ERR args line too long"]
+    assert second == "PONG"
+    assert unhandled == []
+
+
+def test_tcp_non_utf8_request_is_refused_not_rewritten():
+    """``errors="replace"`` used to turn these bytes into a request for
+    client "\ufffd\ufffd", which the shard then registered — every
+    undecodable name of equal length sharing one tracker."""
+    service = ShardedCRPService(serve_params(2))
+    server = CRPServer(service)
+    lines, second, unhandled = _tcp_exchange(
+        server,
+        b"STATS\nPOSITION \xff\xfe 3\nOBSERVE \xff\xfe "
+        + LPARAMS.customer_name.encode() + b" replica-0001\nSTATS\n",
+    )
+    assert lines[1].startswith("ERR encoding ")
+    assert lines[2].startswith("ERR encoding ")
+    assert lines[0] == lines[3] and " clients=0 " in lines[0]
+    assert lines[4] == "OK draining"
+    assert (second, unhandled) == ("PONG", [])
+    assert not any(shard.resident_clients for shard in service.shards)
 
 
 def test_timestampless_request_after_sync_preseed(script):
