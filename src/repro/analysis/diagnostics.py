@@ -107,7 +107,7 @@ def diagnose_client(scenario: Scenario, client: str) -> ClientDiagnosis:
     ratio_map = scenario.crp.ratio_map(client, window_probes=None)
 
     replica_metros: Counter = Counter()
-    replica_rtts: List[float] = []
+    replica_hosts = []
     support = 0
     if ratio_map is not None:
         support = len(ratio_map)
@@ -116,14 +116,14 @@ def diagnose_client(scenario: Scenario, client: str) -> ClientDiagnosis:
                 continue
             replica = scenario.cdn.deployment.by_address(address)
             replica_metros[replica.host.metro.name] += ratio
-            replica_rtts.append(scenario.network.base_rtt_ms(host, replica.host))
+            replica_hosts.append(replica.host)
+    replica_rtts = scenario.network.base_rtts_ms(host, replica_hosts)
 
     ranked = scenario.crp.rank_servers(client, scenario.candidate_names)
     with_signal = sum(1 for r in ranked if r.has_signal)
-    candidate_rtts = [
-        scenario.network.base_rtt_ms(host, scenario.host(name))
-        for name in scenario.candidate_names
-    ]
+    candidate_rtts = scenario.network.base_rtts_ms(
+        host, [scenario.host(name) for name in scenario.candidate_names]
+    )
     return ClientDiagnosis(
         client=client,
         metro=host.metro.name,

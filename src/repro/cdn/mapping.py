@@ -15,9 +15,13 @@ behind Akamai", reference [42] of the paper):
 Implementation notes:
 
 * Per LDNS, a static **candidate pool** of the nearest replicas (by
-  base RTT) is computed once — the analogue of Akamai's coarse
-  geographic/topological pre-clustering of resolvers.  Dynamic
-  measurement then ranks only the pool.
+  base RTT) is computed on the resolver's first query and kept until
+  :meth:`MappingSystem.invalidate` — the analogue of Akamai's coarse
+  geographic/topological pre-clustering of resolvers.  It costs what a
+  neighbourhood costs, not what the deployment costs: geometry and AS
+  hops bound every replica's base RTT, and only those that can make
+  the pool are measured exactly (DESIGN §6).  Dynamic measurement then
+  ranks only the pool.
 * Each refresh epoch, the mapping takes one *noisy* measurement per
   candidate (jitter + spikes via the network's measurement model) and
   sorts.  Noise makes rankings churn exactly the way CRP needs: the
@@ -168,34 +172,44 @@ class MappingSystem:
     # -- candidate pools ---------------------------------------------------
 
     def candidate_pool(self, ldns: Host) -> List[ReplicaServer]:
-        """The static nearest-replica pool for a resolver (cached).
+        """The static nearest-replica pool for a resolver (cached):
+        the ``candidate_pool_size`` :meth:`eligible_replicas` with the
+        smallest base RTT, nearest first, ties in deployment order.
+        """
+        return self._pool(ldns).replicas
+
+    def eligible_replicas(self, ldns: Host) -> List[ReplicaServer]:
+        """The replicas a resolver may be served from, in deployment order.
 
         ISP-restricted replicas are eligible only when the resolver's
         stub AS buys transit from the replica's hosting provider — the
         simulated form of Akamai's access-restricted in-ISP clusters.
         """
-        return self._pool(ldns).replicas
+        providers = self.network.topology.registry.transit_providers_of(ldns.asn)
+        eligible = [
+            r
+            for r in self.deployment
+            if not r.isp_restricted or r.host.asn in providers
+        ]
+        if ldns.region.value in self._rehomed_regions:
+            rehomed = [r for r in eligible if r.host.region is not ldns.region]
+            # Never leave a resolver with nothing: if the exclusion
+            # empties the pool, the rehome is ignored for it.
+            if rehomed:
+                eligible = rehomed
+        return eligible
 
     def _pool(self, ldns: Host) -> _Pool:
         pool = self._pools.get(ldns.host_id)
         if pool is None:
-            providers = set(self.network.topology.registry.transit_providers_of(ldns.asn))
-            eligible = [
-                r
-                for r in self.deployment
-                if not r.isp_restricted or r.host.asn in providers
-            ]
-            if ldns.region.value in self._rehomed_regions:
-                rehomed = [r for r in eligible if r.host.region is not ldns.region]
-                # Never leave a resolver with nothing: if the exclusion
-                # empties the pool, the rehome is ignored for it.
-                if rehomed:
-                    eligible = rehomed
-            by_base = sorted(
-                eligible,
-                key=lambda r: self.network.base_rtt_ms(ldns, r.host),
+            eligible = self.eligible_replicas(ldns)
+            # Only the replicas that can make the pool get a base RTT
+            # (``LatencyModel.nearest``); the rest are never hashed.
+            nearest = self.network.nearest(
+                ldns, [r.host for r in eligible], self.params.candidate_pool_size
             )
-            replicas = by_base[: self.params.candidate_pool_size]
+            replicas = [eligible[i] for i in nearest]
+            providers = self.network.topology.registry.transit_providers_of(ldns.asn)
             pool = _Pool(replicas, [r.host.asn in providers for r in replicas])
             self._pools[ldns.host_id] = pool
         return pool
@@ -259,12 +273,11 @@ class MappingSystem:
                 # entirely: fall back to the customer's replicas ranked
                 # by base RTT (a cold, coarse answer — like real CDNs'
                 # fallback mapping).
-                by_base = sorted(
-                    pool, key=lambda r: self.network.base_rtt_ms(ldns, r.host)
-                )
+                base = self.network.base_rtts_ms(ldns, [r.host for r in pool])
+                by_base = sorted(range(len(base)), key=base.__getitem__)
                 ranked = [
-                    (r, self.network.base_rtt_ms(ldns, r.host))
-                    for r in by_base[: self.params.candidate_pool_size]
+                    (pool[i], base[i])
+                    for i in by_base[: self.params.candidate_pool_size]
                 ]
         ranked = self._apply_load(ranked)
         chosen = select_replicas(

@@ -46,6 +46,11 @@ machinery leans on hardest:
     membership, name/row bijection intact, every stored sketch equal
     to a recomputation from the live ratio map, and every bucket
     table's entries consistent with the rows' own keys.
+``candidate_pool``
+    A resolver's candidate pool is what a brute-force sort of its
+    eligible replicas gives: the right size, nearest first, nobody
+    left out who is strictly nearer than a member, and no retired or
+    ISP-ineligible replica in it.
 """
 
 from __future__ import annotations
@@ -54,6 +59,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
+from repro.cdn.mapping import MappingSystem
 from repro.core.clustering import ClusteringResult, SmfParams
 from repro.core.engine import PackedPopulation
 from repro.core.ratio_map import RatioMap
@@ -61,6 +67,7 @@ from repro.core.service import CRPService, NodeState
 from repro.core.similarity import similarity
 from repro.core.tracker import RedirectionTracker
 from repro.dnssim.cache import TtlCache
+from repro.netsim.topology import Host
 from repro.obs import Observability, get_observability
 from repro.obs.trace import TraceEvent
 
@@ -562,6 +569,33 @@ def check_ann_index(index: object, population: PackedPopulation) -> List[str]:
     return problems
 
 
+def check_candidate_pool(mapping: MappingSystem, ldns: Host) -> List[str]:
+    """A resolver's candidate pool against a brute-force recomputation."""
+    problems: List[str] = []
+    pool = mapping.candidate_pool(ldns)
+    eligible = mapping.eligible_replicas(ldns)
+    expected = min(mapping.params.candidate_pool_size, len(eligible))
+    if len(pool) != expected:
+        problems.append(f"pool holds {len(pool)} replicas, expected {expected}")
+    providers = mapping.network.topology.registry.transit_providers_of(ldns.asn)
+    for replica in pool:
+        if not mapping.deployment.knows_address(replica.address):
+            problems.append(f"{replica.address} is not in the active deployment")
+        if replica.isp_restricted and replica.host.asn not in providers:
+            problems.append(f"{replica.address} is restricted to an ISP {ldns} is not in")
+    base = mapping.network.base_rtts_ms(ldns, [r.host for r in pool])
+    if base != sorted(base):
+        problems.append(f"pool is not sorted by base RTT: {base}")
+    members = {r.address for r in pool}
+    outside = [r for r in eligible if r.address not in members]
+    for replica, rtt in zip(outside, mapping.network.base_rtts_ms(ldns, [r.host for r in outside])):
+        if base and rtt < base[-1]:
+            problems.append(
+                f"{replica.address} at {rtt} ms is left out of a pool reaching {base[-1]} ms"
+            )
+    return problems
+
+
 def default_registry() -> InvariantRegistry:
     """A fresh registry with every built-in invariant registered."""
     registry = InvariantRegistry()
@@ -575,4 +609,5 @@ def default_registry() -> InvariantRegistry:
     registry.register("snapshot_restore", check_snapshot_restore)
     registry.register("event_loop", check_event_loop)
     registry.register("ann_index", check_ann_index)
+    registry.register("candidate_pool", check_candidate_pool)
     return registry

@@ -196,6 +196,7 @@ def _sweep_scenario_invariants(
     run("ann_index", "candidate-ann-index", ann_index, population)
     for node, resolver in sorted(scenario.resolvers.items()):
         run("ttl_cache", node, resolver.cache, now)
+        run("candidate_pool", node, scenario.cdn.mapping, resolver.host)
     run("service_health", "crp-service", crp)
     obs = get_observability()
     run(

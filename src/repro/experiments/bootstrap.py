@@ -122,15 +122,12 @@ def run_bootstrap_experiment(
         )
         joined.append(host.name)
 
-    orderings = {
-        name: sorted(
-            scenario.candidate_names,
-            key=lambda n: scenario.network.base_rtt_ms(
-                scenario.host(name), scenario.host(n)
-            ),
-        )
-        for name in joined
-    }
+    candidates = scenario.candidate_names
+    candidate_hosts = [scenario.host(n) for n in candidates]
+    orderings = {}
+    for name in joined:
+        base = scenario.network.base_rtts_ms(scenario.host(name), candidate_hosts)
+        orderings[name] = [candidates[i] for i in sorted(range(len(base)), key=base.__getitem__)]
 
     mean_rank: Dict[int, float] = {}
     signal_fraction: Dict[int, float] = {}

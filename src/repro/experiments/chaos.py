@@ -59,17 +59,12 @@ class ChaosPoint:
 
 def _true_closest(scenario: Scenario) -> Dict[str, str]:
     """Per client, the candidate with the smallest base RTT."""
-    closest: Dict[str, str] = {}
-    for client in scenario.client_names:
-        client_host = scenario.host(client)
-        closest[client] = min(
-            scenario.candidate_names,
-            key=lambda name: (
-                scenario.network.base_rtt_ms(client_host, scenario.host(name)),
-                name,
-            ),
-        )
-    return closest
+    names = scenario.candidate_names
+    hosts = [scenario.host(name) for name in names]
+    return {
+        client: min(zip(scenario.network.base_rtts_ms(scenario.host(client), hosts), names))[1]
+        for client in scenario.client_names
+    }
 
 
 def evaluate_point(scenario: Scenario, factor: float) -> ChaosPoint:

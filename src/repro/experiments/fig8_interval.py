@@ -66,17 +66,12 @@ class RankSweepPoint:
 
 def _base_orderings(scenario: Scenario) -> Dict[str, List[str]]:
     """Per-client candidate ordering by base RTT (the rank yardstick)."""
+    names = scenario.candidate_names
+    hosts = [scenario.host(name) for name in names]
     orderings: Dict[str, List[str]] = {}
     for client in scenario.client_names:
-        client_host = scenario.host(client)
-        ranked = sorted(
-            scenario.candidate_names,
-            key=lambda name: (
-                scenario.network.base_rtt_ms(client_host, scenario.host(name)),
-                name,
-            ),
-        )
-        orderings[client] = ranked
+        base = scenario.network.base_rtts_ms(scenario.host(client), hosts)
+        orderings[client] = [name for _, name in sorted(zip(base, names))]
     return orderings
 
 

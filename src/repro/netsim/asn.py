@@ -21,12 +21,19 @@ RouteViews origin-AS data).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import networkx as nx
 import numpy as np
 
 from repro.netsim.world import Region, World
+
+#: Hop rows hold one byte per AS; this value marks "no path".
+NO_PATH = 255
+#: An AS with at most this many neighbours (a stub and its one or two
+#: providers) answers hop queries through its neighbours' rows; a
+#: better-connected one gets a row of its own.
+_VIA_NEIGHBOURS_MAX_DEGREE = 2
 
 
 @dataclass(frozen=True)
@@ -54,7 +61,11 @@ class ASRegistry:
     def __init__(self) -> None:
         self._by_asn: Dict[int, AutonomousSystem] = {}
         self._graph = nx.Graph()
-        self._hop_cache: Dict[Tuple[int, int], int] = {}
+        #: Dense position of each ASN, in registration order; hop rows
+        #: are indexed by it.
+        self._index: Dict[int, int] = {}
+        #: Single-source BFS rows by source ASN, built on first use.
+        self._bfs_rows: Dict[int, bytearray] = {}
 
     # -- construction ----------------------------------------------------
 
@@ -63,7 +74,9 @@ class ASRegistry:
         if asys.asn in self._by_asn:
             raise ValueError(f"duplicate ASN {asys.asn}")
         self._by_asn[asys.asn] = asys
+        self._index[asys.asn] = len(self._index)
         self._graph.add_node(asys.asn)
+        self._bfs_rows.clear()
         return asys
 
     def link(self, asn_a: int, asn_b: int) -> None:
@@ -73,7 +86,7 @@ class ASRegistry:
         if asn_a == asn_b:
             raise ValueError("an AS cannot peer with itself")
         self._graph.add_edge(asn_a, asn_b)
-        self._hop_cache.clear()
+        self._bfs_rows.clear()
 
     # -- queries -----------------------------------------------------------
 
@@ -123,6 +136,80 @@ class ASRegistry:
             )
         )
 
+    def as_index(self, asn: int) -> int:
+        """Dense position of an AS in every :meth:`hop_row`."""
+        try:
+            return self._index[asn]
+        except KeyError:
+            raise nx.NodeNotFound(f"AS {asn} is not registered") from None
+
+    def _bfs_row(self, asn: int) -> bytearray:
+        row = self._bfs_rows.get(asn)
+        if row is None:
+            index = self._index
+            adjacency = self._graph.adj
+            row = bytearray([NO_PATH]) * len(index)
+            row[index[asn]] = 0
+            frontier = [asn]
+            depth = 0
+            while frontier:
+                depth += 1
+                reached = []
+                for node in frontier:
+                    for neighbor in adjacency[node]:
+                        position = index[neighbor]
+                        if row[position] == NO_PATH:
+                            row[position] = depth
+                            reached.append(neighbor)
+                if reached and depth >= NO_PATH - 1:
+                    raise OverflowError("AS paths beyond 253 hops do not fit a hop row")
+                frontier = reached
+            self._bfs_rows[asn] = row
+        return row
+
+    def _hop_rows(self, asn: int) -> Tuple[int, List[bytearray]]:
+        """``(extra, rows)`` such that, for ``b != asn``,
+        ``hops(asn, b) = extra + min(row[as_index(b)] for row in rows)``.
+
+        For ``a != b`` on any graph, ``hops(a, b) = 1 + min(hops(n, b))``
+        over the neighbours ``n`` of ``a``, so a stub is answered from
+        its providers' breadth-first rows: hosts sit in some 1 400 stub
+        ASes, their neighbours are the few dozen transit networks, and
+        only those ever get a row.
+        """
+        self.as_index(asn)
+        neighbors = self._graph.adj[asn]
+        if 0 < len(neighbors) <= _VIA_NEIGHBOURS_MAX_DEGREE:
+            return 1, [self._bfs_row(neighbor) for neighbor in neighbors]
+        return 0, [self._bfs_row(asn)]
+
+    def hop_row(self, asn: int) -> np.ndarray:
+        """AS-path hops from ``asn`` to every AS, as ``uint8`` indexed by
+        :meth:`as_index`; 255 marks an unreachable AS."""
+        extra, rows = self._hop_rows(asn)
+        row = np.array(rows[0], dtype=np.uint8)
+        for other in rows[1:]:
+            np.minimum(row, np.frombuffer(other, dtype=np.uint8), out=row)
+        if extra:
+            row += row < NO_PATH
+            row[self._index[asn]] = 0
+        return row
+
+    def hops_from(self, asn: int) -> Callable[[int], int]:
+        """``hops(asn, ·)`` as a function of the other AS's :meth:`as_index`."""
+        extra, rows = self._hop_rows(asn)
+        own = self._index[asn]
+
+        def hops(position: int) -> int:
+            if position == own:
+                return 0
+            nearest = min([row[position] for row in rows])
+            if nearest == NO_PATH:
+                raise nx.NetworkXNoPath(f"no AS path from {asn} to the AS at index {position}")
+            return extra + nearest
+
+        return hops
+
     def hops(self, asn_a: int, asn_b: int) -> int:
         """AS-path hop count between two ASes (0 when identical).
 
@@ -132,12 +219,8 @@ class ASRegistry:
         """
         if asn_a == asn_b:
             return 0
-        key = (asn_a, asn_b) if asn_a < asn_b else (asn_b, asn_a)
-        cached = self._hop_cache.get(key)
-        if cached is None:
-            cached = nx.shortest_path_length(self._graph, asn_a, asn_b)
-            self._hop_cache[key] = cached
-        return cached
+        position = self.as_index(asn_b)
+        return self.hops_from(asn_a)(position)
 
     # -- generation ----------------------------------------------------------
 

@@ -31,18 +31,27 @@ class GeoPoint:
             raise ValueError(f"longitude out of range: {self.lon}")
 
 
-def great_circle_km(a: GeoPoint, b: GeoPoint) -> float:
-    """Great-circle distance between two points, in kilometres.
+def haversine_km(
+    lat1: float, lon1: float, cos_lat1: float, lat2: float, lon2: float, cos_lat2: float
+) -> float:
+    """Great-circle distance between two points given in radians.
 
-    Uses the haversine formula, which is numerically stable for the
-    small distances that matter most here (metro-to-metro hops).
+    The haversine formula, which is numerically stable for the small
+    distances that matter most here (metro-to-metro hops).  Each
+    latitude comes with its cosine so a caller measuring one point
+    against many works both out once.
     """
-    lat1, lon1 = math.radians(a.lat), math.radians(a.lon)
-    lat2, lon2 = math.radians(b.lat), math.radians(b.lon)
     dlat = lat2 - lat1
     dlon = lon2 - lon1
-    h = math.sin(dlat / 2.0) ** 2 + math.cos(lat1) * math.cos(lat2) * math.sin(dlon / 2.0) ** 2
+    h = math.sin(dlat / 2.0) ** 2 + cos_lat1 * cos_lat2 * math.sin(dlon / 2.0) ** 2
     return 2.0 * EARTH_RADIUS_KM * math.asin(min(1.0, math.sqrt(h)))
+
+
+def great_circle_km(a: GeoPoint, b: GeoPoint) -> float:
+    """Great-circle distance between two points, in kilometres."""
+    lat1, lon1 = math.radians(a.lat), math.radians(a.lon)
+    lat2, lon2 = math.radians(b.lat), math.radians(b.lon)
+    return haversine_km(lat1, lon1, math.cos(lat1), lat2, lon2, math.cos(lat2))
 
 
 def propagation_rtt_ms(a: GeoPoint, b: GeoPoint, stretch: float = 1.0) -> float:

@@ -57,6 +57,15 @@ class Network:
         """The time-invariant component of RTT(a, b)."""
         return self.latency.base_rtt_ms(a, b)
 
+    def base_rtts_ms(self, a: Host, others: Sequence[Host]) -> List[float]:
+        """The time-invariant component from ``a`` to each of ``others``."""
+        return self.latency.base_rtts_ms(a, others)
+
+    def nearest(self, a: Host, others: Sequence[Host], k: int) -> List[int]:
+        """Positions in ``others`` of the ``k`` hosts with the smallest
+        base RTT to ``a``, nearest first (ties in ``others`` order)."""
+        return self.latency.nearest(a, others, k)
+
     def rtt_ms(self, a: Host, b: Host, at: Optional[float] = None) -> float:
         """True instantaneous RTT between two hosts, in milliseconds.
 
@@ -100,8 +109,8 @@ class Network:
         floor_ms = self.latency.params.floor_ms
         rng = self._measure_rng
         samples = []
-        for b, extra in zip(apart, congestion):
-            true_rtt = self.base_rtt_ms(a, b) + extra
+        for base, extra in zip(self.base_rtts_ms(a, apart), congestion):
+            true_rtt = base + extra
             sample = true_rtt * float(rng.lognormal(0.0, sigma))
             if rng.random() < spike_probability:
                 lo, hi = params.spike_fraction_range

@@ -350,3 +350,50 @@ def test_select_answers_under_a_partition_sized_surge(topology, host_rng):
     ranking = mapping.ranking(client)
     assert ranking[1][1] - ranking[0][1] > 4000.0
     assert answer == [replica for replica, _ in ranking[:2]]
+
+
+def farthest_group(network, client, deployment, size):
+    """A customer group guaranteed outside the client's pool."""
+    base = network.base_rtts_ms(client, [r.host for r in deployment.edge])
+    by_distance = sorted(range(len(base)), key=base.__getitem__)
+    # Deployment order, so the group is not handed over pre-sorted.
+    return [deployment.edge[i] for i in sorted(by_distance[-size:])]
+
+
+def test_disjoint_customer_group_is_answered_nearest_first(topology, host_rng):
+    clock = SimClock()
+    network = Network(topology, clock, seed=21)
+    deployment = deploy_replicas(topology, host_rng)
+    params = MappingParams(
+        policy=SelectionPolicy.BEST_ONLY, candidate_pool_size=3, answer_size=5
+    )
+    mapping = MappingSystem(network, deployment, params, seed=21)
+    client = topology.create_host(
+        "client-ny", HostKind.DNS_SERVER, topology.world.metro("new-york"), host_rng
+    )
+    group = farthest_group(network, client, deployment, 6)
+    assert not {r.address for r in group} & {r.address for r in mapping.candidate_pool(client)}
+    answer = mapping.select(client, pool=group)
+    # The fallback keeps a pool's worth of the group, by base RTT.
+    nearest = sorted(group, key=lambda r: network.base_rtt_ms(client, r.host))[:3]
+    assert answer == nearest
+
+
+def test_disjoint_customer_group_answer_is_pinned(mapping_setup):
+    """The addresses the fallback answered before it measured each pair
+    once instead of twice (seed 21, the default softmax rotation)."""
+    mapping, client, clock, network, deployment = mapping_setup
+    group = farthest_group(network, client, deployment, 6)
+    answers = []
+    for _ in range(4):
+        answers.append([r.address for r in mapping.select(client, pool=group)])
+        clock.advance(mapping.params.refresh_seconds)
+    assert answers == PINNED_FALLBACK_ANSWERS
+
+
+PINNED_FALLBACK_ANSWERS = [
+    ["172.0.1.30", "172.0.1.23"],
+    ["172.0.1.23", "172.0.1.30"],
+    ["172.0.1.23", "172.0.1.39"],
+    ["172.0.1.39", "172.0.1.30"],
+]

@@ -5,6 +5,7 @@ import pytest
 from repro import obs as obs_layer
 from repro.check import InvariantRegistry, Violation, default_registry
 from repro.check.invariants import (
+    check_candidate_pool,
     check_engine,
     check_health_transitions,
     check_ratio_map,
@@ -18,6 +19,7 @@ from repro.core.engine import PackedPopulation
 from repro.core.tracker import RedirectionTracker
 from repro.dnssim import Question, RecordType, ResourceRecord, TtlCache
 from repro.obs.trace import TraceEvent
+from tests.conftest import make_scenario
 
 
 def maps_fixture():
@@ -35,6 +37,7 @@ def test_default_registry_has_all_builtins():
     registry = default_registry()
     assert registry.names() == (
         "ann_index",
+        "candidate_pool",
         "engine",
         "event_loop",
         "health_transitions",
@@ -305,3 +308,39 @@ def test_double_membership_detected():
     result.clusters[1].members.append(stowaway)
     problems = check_smf_result(result, population, params)
     assert any("appears in clusters" in p for p in problems)
+
+
+# -- candidate pools -----------------------------------------------------------
+
+
+def pool_fixture():
+    scenario = make_scenario(seed=2008, dns_servers=6, planetlab_nodes=4)
+    return scenario.cdn.mapping, scenario.host(scenario.client_names[0])
+
+
+def test_healthy_candidate_pool_passes():
+    mapping, ldns = pool_fixture()
+    assert check_candidate_pool(mapping, ldns) == []
+    mapping.rehome_region(ldns.region.value)
+    assert check_candidate_pool(mapping, ldns) == []
+
+
+def test_tampered_candidate_pools_detected():
+    mapping, ldns = pool_fixture()
+    pool = mapping.candidate_pool(ldns)
+    pool.reverse()
+    assert any("not sorted" in p for p in check_candidate_pool(mapping, ldns))
+    pool.reverse()
+    members = {r.address for r in pool}
+    farthest = max(
+        (r for r in mapping.eligible_replicas(ldns) if r.address not in members),
+        key=lambda r: mapping.network.base_rtt_ms(ldns, r.host),
+    )
+    dropped, pool[0] = pool[0], farthest
+    problems = check_candidate_pool(mapping, ldns)
+    assert any(dropped.address in p and "left out" in p for p in problems)
+    del pool[0]
+    assert any("expected" in p for p in check_candidate_pool(mapping, ldns))
+    mapping.invalidate()
+    mapping.deployment.retire(mapping.candidate_pool(ldns)[0].address)
+    assert any("active deployment" in p for p in check_candidate_pool(mapping, ldns))

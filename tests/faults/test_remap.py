@@ -287,3 +287,61 @@ def test_pending_event_times_dedupes_and_honours_until(substrate):
     assert controller.pending_event_times(until=30.0) == [10.0]
     controller.sync(10.0)
     assert controller.pending_event_times() == [30.0]
+
+
+# -- pools after every structural change ≡ a brute-force recomputation ---------
+
+
+def brute_force_pool(substrate, client):
+    """The pool as a full sort over the eligible replicas gives it."""
+    topology, deployment, mapping = substrate
+    providers = topology.registry.transit_providers_of(client.asn)
+    eligible = [r for r in deployment if not r.isp_restricted or r.host.asn in providers]
+    if client.region.value in mapping.rehomed_regions:
+        eligible = [r for r in eligible if r.host.region is not client.region] or eligible
+    by_base = sorted(eligible, key=lambda r: mapping.network.base_rtt_ms(client, r.host))
+    return by_base[: mapping.params.candidate_pool_size]
+
+
+def test_pools_after_each_remap_equal_a_full_sort(substrate, host_rng):
+    topology, deployment, mapping = substrate
+    clients = [
+        topology.create_host(
+            f"client-{name}", HostKind.DNS_SERVER, topology.world.metro(name), host_rng
+        )
+        for name in ("boston", "new-york", "seattle", "london", "tokyo")
+    ]
+    region = topology.world.metro("boston").region.value
+    events = [
+        RemapEvent(RemapKind.CLUSTER_LAUNCH, 10.0, "boston", "boston", 4),
+        RemapEvent(RemapKind.REPLICA_MIGRATION, 20.0, deployment.edge[0].address, "seattle"),
+        RemapEvent(RemapKind.CLUSTER_RETIRE, 30.0, "new-york"),
+        RemapEvent(RemapKind.REGION_REHOME, 40.0, region),
+    ]
+    controller = controller_for(events, substrate)
+    for now in (0.0, 10.0, 20.0, 30.0, 40.0):
+        controller.sync(now)
+        for client in clients:
+            assert mapping.candidate_pool(client) == brute_force_pool(substrate, client)
+    assert len(controller.applied) == 4
+    rehomed = clients[0]
+    assert all(r.host.region is not rehomed.region for r in mapping.candidate_pool(rehomed))
+
+
+def test_partial_invalidate_rebuilds_only_the_named_pool(substrate, host_rng):
+    topology, deployment, mapping = substrate
+    metro = topology.world.metro("boston")
+    near, other = (
+        topology.create_host(f"client-{i}", HostKind.DNS_SERVER, metro, host_rng)
+        for i in range(2)
+    )
+    stale = list(mapping.candidate_pool(other))
+    mapping.candidate_pool(near)
+    host = topology.create_host(
+        "edge-new", HostKind.REPLICA, metro, host_rng, location=near.location, access_ms=0.2
+    )
+    launched = deployment.add(ReplicaServer(host, "198.51.100.1"))
+    mapping.invalidate([near.host_id])
+    assert launched in mapping.candidate_pool(near)
+    assert mapping.candidate_pool(near) == brute_force_pool(substrate, near)
+    assert mapping.candidate_pool(other) == stale
