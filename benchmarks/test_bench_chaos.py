@@ -4,8 +4,9 @@ Runs the chaos sweep (:mod:`repro.experiments.chaos`) at bench scale:
 fault-free baseline, the default (1x) episode rates, and a 2x stress
 point.  Asserts the headline robustness claim — a resilient CRP
 retains the bulk of its fault-free Top-5 accuracy at default rates —
-and records the sweep in ``BENCH_chaos.json`` at the repo root so
-EXPERIMENTS.md can quote measured numbers from an artifact.
+and records the sweep in ``benchmarks/reports/chaos.json``, beside
+the ``chaos.txt`` report, so EXPERIMENTS.md can quote measured numbers
+from an artifact.
 """
 
 import json
@@ -15,7 +16,7 @@ from benchmarks.bench_config import bench_scale, save_report
 from repro.experiments.chaos import run_chaos
 from repro.workloads import ScenarioParams
 
-ARTIFACT = Path(__file__).resolve().parent.parent / "BENCH_chaos.json"
+ARTIFACT = Path(__file__).resolve().parent / "reports" / "chaos.json"
 
 
 def test_bench_chaos_sweep(benchmark):

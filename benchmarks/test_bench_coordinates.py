@@ -20,7 +20,8 @@ import pytest
 from benchmarks.bench_config import bench_scale, save_report
 from repro.analysis.stats import mean
 from repro.analysis.tables import format_table
-from repro.baselines import GnpParams, GnpSystem, RandomSelector, VivaldiSystem
+from repro.baselines import RandomSelector, VivaldiSystem
+from repro.baselines.gnp import GnpParams, GnpSystem
 from repro.workloads import Scenario, ScenarioParams
 
 

@@ -13,8 +13,7 @@ library itself — what a service embedding CRP would care about:
 The ranking and clustering benches come in pairs: the default
 vectorized engine path next to the scalar reference (``rank_scalar``,
 ``smf_cluster(vectorized=False)``), so the engine's speedup is measured
-in-suite (the ratio the acceptance criteria quote;
-``scripts/bench_micro.py`` records it to ``BENCH_similarity.json``).
+in-suite (the ratio the acceptance criteria quote).
 """
 
 import numpy as np

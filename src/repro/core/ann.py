@@ -133,9 +133,9 @@ def _flip_masks(width: int, radius: int) -> Tuple[int, ...]:
 class AnnParams:
     """Sketch-index configuration (hashable: one index per value).
 
-    The defaults are the calibrated operating point from
-    ``BENCH_ann.json``: 256 sketch bits discriminate same-cluster
-    neighbours well past the recall@5 ≥ 0.95 bar, and 4 tables of
+    The defaults are the calibrated operating point, and ``runner ann``
+    fails if their recall@5 drops below 0.95: 256 sketch bits
+    discriminate same-cluster neighbours well past that bar, and 4 tables of
     16-bit bucket keys probed at Hamming radius 1 (68 bucket probes)
     keep the gathered pool small at 100k candidates while multi-table
     redundancy covers the bucket bits a near neighbour happens to

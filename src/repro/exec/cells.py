@@ -291,7 +291,8 @@ def _service_point(cell: Cell, seed: int, store: SnapshotStore) -> CellOutput:
 
     Deliberately records no wall-clock numbers: the cell value (and so
     the combined report) is byte-stable across machines and across the
-    obs-on/off pair.  Throughput lives in ``scripts/bench_service.py``.
+    obs-on/off pair.  A fingerprint mismatch fails the cell.  Throughput
+    lives in the ``serve_*`` workloads of ``bench/run.py``.
     """
     from repro.experiments.service import run_service_point
 
@@ -346,8 +347,7 @@ def _ann_point(cell: Cell, seed: int, store: SnapshotStore) -> CellOutput:
 
     Like ``service.point``, the cell value carries no wall-clock
     numbers — recall and index counters only — so the combined report
-    is byte-stable across machines; speedups live in
-    ``scripts/bench_ann.py``.
+    is byte-stable across machines; rank times live in ``bench/run.py``.
     """
     from repro.experiments.ann import run_ann_point
 
@@ -637,7 +637,7 @@ def plan_for(key: str, scale: str, root_seed: int = 0) -> ExperimentPlan:
                         point["resident_clients"],
                         point["engine_rows"],
                         point["fingerprint"][:16],
-                        "yes" if point["fingerprint_match"] else "NO",
+                        "yes",  # a mismatch fails the cell
                     ]
                 )
             report = format_table(

@@ -1,19 +1,15 @@
-"""The ``ann`` experiment: approximate-ranking quality and speed.
+"""The ``ann`` experiment: approximate-ranking quality.
 
-Two entry points with different contracts, mirroring the ``service``
-experiment:
-
-* :func:`run_ann_point` — the runner's deterministic cell body.  One
-  seeded clustered population is ranked both exactly and through the
-  sketch index at a given (probe width, shortlist) operating point;
-  the cell value records recall@1/recall@5, shortlist⊇Top-5 coverage,
-  and index counters.  No wall-clock numbers, so the report is
-  byte-stable across machines and obs-on/off runs.
-* :func:`run_ann_bench_point` — the wall-clock half behind
-  ``scripts/bench_ann.py``: per-query exact-matvec vs
-  shortlist-plus-rerank timings and the resulting speedup, alongside
-  the same recall figures.  Only ``BENCH_ann.json`` carries these
-  numbers.
+:func:`run_ann_point` is the runner's deterministic cell body.  One
+seeded clustered population is ranked both exactly and through the
+sketch index at a given (probe width, shortlist) operating point; the
+cell value records recall@1/recall@5, shortlist⊇Top-5 coverage, and
+index counters.  No wall-clock numbers, so the report is byte-stable
+across machines and obs-on/off runs; exact-vs-sketch rank time is
+measured by ``bench/run.py`` (``core.ann.rank_us`` /
+``core.ann.exact_rank_us``).  At the calibrated width (the
+:class:`~repro.core.ann.AnnParams` defaults) a recall@5 below 0.95
+fails the cell with :class:`RecallFloorError`.
 
 The synthetic workload models the paper's geography: clients in one
 region see a small, region-local replica set (Section III observes
@@ -25,12 +21,11 @@ regime, where a client's nearest candidates really are cosine-close.
 
 from __future__ import annotations
 
-from time import perf_counter
 from typing import Dict, List, Mapping, Tuple
 
 import numpy as np
 
-from repro.core.ann import AnnParams, approx_top_k, index_for
+from repro.core.ann import AnnParams, index_for
 from repro.core.engine import PackedPopulation
 from repro.core.ratio_map import RatioMap
 from repro.core.selection import rank_packed
@@ -44,14 +39,21 @@ ANN_SIZES: Dict[str, Tuple[int, ...]] = {
 }
 
 #: The (probe_hamming, shortlist) operating points swept for the
-#: recall-vs-speedup curve: narrow, the calibrated default, wide.
+#: recall curve: narrow, the calibrated default, wide.
 ANN_WIDTHS: Tuple[Tuple[int, int], ...] = ((0, 32), (1, 64), (2, 128))
+
+#: recall@k the calibrated width must reach at every population.
+_RECALL_FLOOR = 0.95
 
 #: Replica-pool size per cluster and per-map support width.  Pools are
 #: disjoint between clusters (region-local replica sets), so
 #: cross-cluster similarity is exactly zero.
 _POOL = 14
 _SUPPORT = 9
+
+
+class RecallFloorError(AssertionError):
+    """The calibrated width ranked below the recall floor."""
 
 
 def synthetic_candidates(
@@ -140,7 +142,9 @@ def run_ann_point(
     """One deterministic quality point: recall of the sketch path.
 
     Returns only machine-independent fields; the headline is
-    ``recall_at_5`` (and coverage) at this operating point.
+    ``recall_at_5`` (and coverage) at this operating point.  Raises
+    :class:`RecallFloorError` when this is the calibrated width and
+    recall@k is below ``_RECALL_FLOOR``.
     """
     maps, assignments = synthetic_candidates(population, seed)
     query_maps = synthetic_queries(maps, queries, seed)
@@ -155,65 +159,16 @@ def run_ann_point(
         "k": k,
     }
     point.update(_recall_counts(packed, params, query_maps, k))
+    recall = point[f"recall_at_{k}"]
+    if params == AnnParams() and recall < _RECALL_FLOOR:
+        raise RecallFloorError(
+            f"recall@{k} {recall:.4f} < {_RECALL_FLOOR} at "
+            f"population {population} (probe_hamming={probe_hamming}, "
+            f"shortlist={shortlist})"
+        )
     index = index_for(packed, params)
     stats = index.stats()
     point["index_rows"] = stats["rows"]
     point["index_full_scans"] = stats["full_scans"]
     point["index_gathered_rows"] = stats["gathered_rows"]
-    return point
-
-
-def run_ann_bench_point(
-    population: int,
-    seed: int,
-    *,
-    queries: int = 50,
-    probe_hamming: int = 1,
-    shortlist: int = 64,
-    k: int = 5,
-    repeats: int = 3,
-) -> Dict[str, object]:
-    """One wall-clock point: exact matvec vs shortlist + exact rerank.
-
-    Timings bypass the selection memo (direct engine / ann calls) so
-    both sides measure real per-query work; recall is computed once,
-    outside the timed loops.
-    """
-    maps, _ = synthetic_candidates(population, seed)
-    query_maps = synthetic_queries(maps, queries, seed)
-    packed = PackedPopulation(maps)
-    params = AnnParams(probe_hamming=probe_hamming, shortlist=shortlist)
-
-    build_started = perf_counter()
-    index = index_for(packed, params)
-    build_wall = perf_counter() - build_started
-    packed._ensure_view()  # pack outside the timed loops
-
-    exact_best = float("inf")
-    for _ in range(repeats):
-        started = perf_counter()
-        for query in query_maps:
-            scores = packed.scores(query)
-            packed.top_k_indices(scores, k)
-        exact_best = min(exact_best, (perf_counter() - started) / queries)
-
-    approx_best = float("inf")
-    for _ in range(repeats):
-        started = perf_counter()
-        for query in query_maps:
-            approx_top_k(query, packed, k, index=index)
-        approx_best = min(approx_best, (perf_counter() - started) / queries)
-
-    point: Dict[str, object] = {
-        "population": population,
-        "queries": queries,
-        "probe_hamming": probe_hamming,
-        "shortlist": shortlist,
-        "k": k,
-        "index_build_s": round(build_wall, 3),
-        "exact_us_per_query": round(exact_best * 1e6, 1),
-        "approx_us_per_query": round(approx_best * 1e6, 1),
-        "speedup": round(exact_best / max(approx_best, 1e-12), 1),
-    }
-    point.update(_recall_counts(packed, params, query_maps, k))
     return point

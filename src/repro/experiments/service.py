@@ -1,51 +1,38 @@
 """The ``service`` experiment: CRP behind the sharded serving path.
 
-Two entry points with deliberately different contracts:
-
-* :func:`run_service_point` — the runner's deterministic cell body.
-  One seeded load script (:mod:`repro.serve.loadgen`) is fed through
-  the asyncio :class:`~repro.serve.frontend.CRPServer` at a given
-  shard count *and* through the unsharded reference
-  (:func:`~repro.serve.frontend.replay_unsharded`); the cell value
-  records op counts, fleet stats, and both answer fingerprints.  No
-  wall-clock numbers appear here, so the report is byte-stable across
-  machines and across obs-on/off runs (the self-check's obs pair).
-* :func:`run_bench_point` — the wall-clock half behind
-  ``scripts/bench_service.py``: preseed a tracked population through
-  the synchronous ingest path, then time a Zipf-weighted POSITION
-  query phase through the asyncio server, reading latency percentiles
-  back out of the ``serve.latency_us`` histograms.  Only the bench
-  artifact (``BENCH_service.json``) carries these numbers.
-
-The preseed phase deliberately runs through the *synchronous*
-:meth:`~repro.serve.frontend.ShardedCRPService.apply` path so a
-million-client population never materialises as a million queued
-futures; the timed query phase then exercises the full request loop.
+:func:`run_service_point` is the runner's deterministic cell body.  One
+seeded load script (:mod:`repro.serve.loadgen`) is fed through the
+asyncio :class:`~repro.serve.frontend.CRPServer` at a given shard count
+*and* through the unsharded reference
+(:func:`~repro.serve.frontend.replay_unsharded`); the two answer
+fingerprints must be equal, and a mismatch fails the cell with
+:class:`ShardMismatchError`.  The cell value records op counts, fleet
+stats and the fingerprint.  No wall-clock numbers appear here, so the
+report is byte-stable across machines and across obs-on/off runs (the
+self-check's obs pair); serving throughput and latency are measured by
+the ``serve_*`` workloads of ``bench/run.py``.
 """
 
 from __future__ import annotations
 
 import asyncio
-from itertools import islice
-from time import perf_counter
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Tuple
 
-from repro.core.ann import AnnParams
-from repro.netsim.rng import derive_seed
-from repro.obs import LATENCY_BUCKETS_US, Observability
 from repro.serve import (
     CRPServer,
     LoadgenParams,
-    Op,
     ServeParams,
     ShardedCRPService,
-    SyntheticRedirections,
     fingerprint_answers,
     iter_ops,
     replay_unsharded,
     run_script,
 )
-from repro.sim.workload import PoissonZipfWorkload
+
+
+class ShardMismatchError(AssertionError):
+    """The sharded answers differ from the unsharded replay."""
+
 
 #: Per-scale load-script sizes for the runner's ``service`` key.  The
 #: runner cells stay small — they are a correctness surface (sharded
@@ -69,10 +56,6 @@ SERVICE_SIZES: Dict[str, Dict[str, float]] = {
 #: Shard counts swept by the runner's ``service`` plan.
 SERVICE_SHARD_COUNTS: Tuple[int, ...] = (1, 4, 8)
 
-#: Tracked-population sizes of the full bench sweep
-#: (``scripts/bench_service.py --scale default``).
-BENCH_POPULATIONS: Tuple[int, ...] = (10_000, 100_000, 1_000_000)
-
 
 def loadgen_for(scale: str, seed: int) -> LoadgenParams:
     """The canonical load script for a runner scale."""
@@ -86,28 +69,22 @@ def loadgen_for(scale: str, seed: int) -> LoadgenParams:
     )
 
 
-def serve_params_for(
-    lparams: LoadgenParams,
-    shards: int,
-    max_trackers: Optional[int] = None,
-    approx: Optional["AnnParams"] = None,
-) -> ServeParams:
+def serve_params_for(lparams: LoadgenParams, shards: int) -> ServeParams:
     """Serving params matched to a load script's population."""
     return ServeParams(
         candidates=lparams.candidate_names(),
         shards=shards,
         customer_name=lparams.customer_name,
-        max_trackers=max_trackers,
         top_k=lparams.top_k,
-        approx=approx,
     )
 
 
 def run_service_point(scale: str, seed: int, shards: int) -> Dict[str, object]:
     """One deterministic serving run: sharded answers vs the reference.
 
-    Returns only machine-independent fields; ``fingerprint_match`` is
-    the cell's headline (it must be True at every shard count).
+    Returns only machine-independent fields.  Raises
+    :class:`ShardMismatchError` when the sharded answers' fingerprint
+    differs from the unsharded reference's.
     """
     lparams = loadgen_for(scale, seed)
     ops = list(iter_ops(lparams))
@@ -118,6 +95,11 @@ def run_service_point(scale: str, seed: int, shards: int) -> Dict[str, object]:
     answers = asyncio.run(run_script(server, ops))
     fingerprint = fingerprint_answers(answers)
     reference = fingerprint_answers(replay_unsharded(sparams, ops))
+    if fingerprint != reference:
+        raise ShardMismatchError(
+            f"{shards} shards answered {fingerprint[:16]}, "
+            f"the unsharded replay {reference[:16]}"
+        )
     stats = service.stats()
     return {
         "shards": shards,
@@ -131,145 +113,4 @@ def run_service_point(scale: str, seed: int, shards: int) -> Dict[str, object]:
         "evictions": stats["evictions"],
         "recreations": stats["recreations"],
         "fingerprint": fingerprint,
-        "reference_fingerprint": reference,
-        "fingerprint_match": fingerprint == reference,
     }
-
-
-# -- the wall-clock bench ----------------------------------------------------
-
-#: Sim-seconds between consecutive preseed observations (each client's
-#: first sighting); only ordering matters, the spacing keeps per-shard
-#: clocks strictly monotone.
-_PRESEED_DT = 1e-3
-
-
-def _preseed_ops(
-    lparams: LoadgenParams, model: SyntheticRedirections
-) -> Iterator[Op]:
-    """One OBSERVE per client, in index order (monotone per shard)."""
-    clients = lparams.client_names()
-    name = lparams.customer_name
-    for index in range(lparams.clients):
-        yield Op(
-            1.0 + index * _PRESEED_DT,
-            "OBSERVE",
-            clients[index],
-            name,
-            model.client_addresses(index, 0),
-        )
-
-
-def _query_ops(
-    lparams: LoadgenParams, seed: int, queries: int, start_at: float
-) -> List[Op]:
-    """A Zipf-weighted POSITION-only phase over the preseeded clients."""
-    clients = lparams.client_names()
-    workload = PoissonZipfWorkload(
-        clients,
-        derive_seed(seed, "serve", "bench", "queries"),
-        alpha=lparams.zipf_alpha,
-        # Rate chosen so the horizon comfortably covers ``queries``
-        # arrivals; islice cuts the stream at exactly that many.
-        aggregate_rate_per_s=200.0,
-    )
-    horizon_s = queries / 200.0 * 4.0
-    return [
-        Op(start_at + at, "POSITION", clients[index], k=lparams.top_k)
-        for at, index in islice(workload.iter_arrivals(horizon_s), queries)
-    ]
-
-
-def run_bench_point(
-    population: int,
-    shards: int,
-    seed: int,
-    *,
-    candidates: int = 32,
-    queries: int = 20_000,
-    max_trackers: Optional[int] = None,
-    check_fingerprint: bool = False,
-    approx: Optional[AnnParams] = None,
-) -> Dict[str, object]:
-    """Preseed ``population`` tracked clients, then time a query phase.
-
-    ``max_trackers`` bounds per-shard residency (the LRU satellite):
-    the million-client point runs bounded, demonstrating that memory
-    stays flat while the Zipf head keeps answering fast.  With
-    ``check_fingerprint`` the whole script is also replayed unsharded
-    and the query answers must match byte for byte (only affordable at
-    the small populations).
-    """
-    lparams = LoadgenParams(
-        clients=population,
-        candidates=candidates,
-        seed=seed,
-        # horizon/rate are unused by the bench phases but validated by
-        # LoadgenParams; keep them trivially consistent.
-        horizon_s=1.0,
-        aggregate_rate_per_s=1.0,
-        warmup_observations=4,
-    )
-    model = SyntheticRedirections(lparams)
-    candidate_names = lparams.candidate_names()
-    customer = lparams.customer_name
-    warm_ops = [
-        Op(0.0, "OBSERVE", candidate, customer, model.candidate_addresses(i, d))
-        for d in range(lparams.warmup_observations)
-        for i, candidate in enumerate(candidate_names)
-    ]
-    preseed_end = 1.0 + population * _PRESEED_DT
-    query_ops = _query_ops(lparams, seed, queries, preseed_end)
-
-    sparams = serve_params_for(lparams, shards, max_trackers=max_trackers, approx=approx)
-    obs = Observability()  # latency histograms live here; shards stay no-op
-    service = ShardedCRPService(sparams)
-    server = CRPServer(service, obs=obs)
-
-    for op in warm_ops:
-        service.apply(op)
-
-    ingest_started = perf_counter()
-    for op in _preseed_ops(lparams, model):
-        service.apply(op)
-    ingest_wall = perf_counter() - ingest_started
-
-    query_started = perf_counter()
-    answers = asyncio.run(run_script(server, query_ops))
-    query_wall = perf_counter() - query_started
-
-    latency = obs.metrics.histogram(
-        "serve.latency_us", buckets=LATENCY_BUCKETS_US, op="position"
-    )
-    stats = service.stats()
-    point: Dict[str, object] = {
-        "population": population,
-        "shards": shards,
-        "candidates": candidates,
-        "max_trackers_per_shard": max_trackers,
-        "preseed_observations": population,
-        "ingest_wall_s": round(ingest_wall, 3),
-        "observes_per_s": round(population / max(ingest_wall, 1e-9)),
-        "queries": len(answers),
-        "query_wall_s": round(query_wall, 3),
-        "positions_per_s": round(len(answers) / max(query_wall, 1e-9)),
-        "latency_p50_us": _rounded(latency.percentile(0.5)),
-        "latency_p99_us": _rounded(latency.percentile(0.99)),
-        "latency_max_us": _rounded(latency.max),
-        "resident_clients": stats["clients"],
-        "evictions": stats["evictions"],
-        "recreations": stats["recreations"],
-        "engine_rows": stats["engine_rows"],
-    }
-    if check_fingerprint:
-        script = warm_ops + list(_preseed_ops(lparams, model)) + query_ops
-        reference = fingerprint_answers(replay_unsharded(sparams, script))
-        fingerprint = fingerprint_answers(answers)
-        point["fingerprint"] = fingerprint
-        point["reference_fingerprint"] = reference
-        point["fingerprint_match"] = fingerprint == reference
-    return point
-
-
-def _rounded(value: Optional[float]) -> Optional[float]:
-    return None if value is None else round(value, 1)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from repro.baselines import GnpParams, GnpSystem
+from repro.baselines.gnp import GnpParams, GnpSystem
 from repro.netsim import HostKind, Network, SimClock
 
 

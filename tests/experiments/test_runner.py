@@ -69,3 +69,34 @@ def test_runner_no_manifest_flag_skips_manifest(tmp_path):
     assert code == 0
     assert (tmp_path / "overhead.txt").exists()
     assert not (tmp_path / "overhead.manifest.json").exists()
+
+
+def test_runner_service_fails_on_shard_mismatch(capsys, monkeypatch):
+    from repro.experiments import service
+
+    replay = service.replay_unsharded
+    monkeypatch.setattr(
+        service, "replay_unsharded", lambda params, ops: replay(params, ops)[:-1]
+    )
+    code = runner.main(["service", "--scale", "quick", "--jobs", "1"])
+    assert code != 0
+    out = capsys.readouterr().out
+    assert "service  FAILED" in out
+    assert "ShardMismatchError: 4 shards answered" in out
+
+
+def test_runner_ann_fails_below_recall_floor(capsys, monkeypatch):
+    from repro.experiments import ann
+
+    counts = ann._recall_counts
+
+    def low_recall(population, params, queries, k):
+        return {**counts(population, params, queries, k), f"recall_at_{k}": 0.9}
+
+    monkeypatch.setattr(ann, "_recall_counts", low_recall)
+    code = runner.main(["ann", "--scale", "quick", "--jobs", "1"])
+    assert code != 0
+    out = capsys.readouterr().out
+    # Only the calibrated width is gated: one failed cell per population.
+    assert out.count("RecallFloorError: recall@5 0.9000 < 0.95") == 2
+    assert "population 2000" in out
